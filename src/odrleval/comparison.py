@@ -20,6 +20,7 @@ from the witness domain instead, and the two must agree on consistent input.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .conditions import negate
@@ -29,9 +30,16 @@ from .errors import (
     NormalizationError,
 )
 from .evaluation import evaluate_full, evaluate_lite
-from .matching import check_well_formed, match_unchecked, require_well_formed
+from .matching import (
+    MatchTable,
+    check_well_formed,
+    lowest_bit,
+    match_unchecked,
+    require_well_formed,
+)
 from .model import (
     ACTION_FEATURE,
+    And,
     CORE_TAGS,
     Datatype,
     Event,
@@ -189,10 +197,16 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
             if b - a >= 2:
                 raws.append((a + b) // 2)
     elif datatype is Datatype.NUMERIC:
-        raws.append(constants[0] - 1)
-        raws.append(constants[-1] + 1)
-        for a, b in zip(constants, constants[1:]):
-            raws.append((a + b) / 2)
+        # Each region takes its first candidate strictly inside: float
+        # arithmetic alone can land on a bound past 2**53 or between floats.
+        lo, hi = constants[0], constants[-1]
+        regions = [(-math.inf, lo, (lo - 1, math.floor(lo) - 1)),
+                   (hi, math.inf, (hi + 1, math.ceil(hi) + 1))]
+        regions += [(a, b, ((a + b) / 2, (math.floor(a) + math.ceil(b)) // 2,
+                            math.nextafter(a, b)))
+                    for a, b in zip(constants, constants[1:])]
+        for a, b, xs in regions:
+            raws.extend(itertools.islice((x for x in xs if a < x < b), 1))
     else:  # STRING: codepoint order; the successor of s is s + chr(0)
         if constants[0] > "":
             raws.append("")
@@ -209,6 +223,10 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
 # ---------------------------------------------------------------------------
 
 def _domain_events(schema, rules, max_events=DEFAULT_MAX_EVENTS, extra_timestamps=()):
+    """Well-formedness gate, then the probe events of the rules' witness domain."""
+    rules = tuple(rules)
+    for r in rules:
+        require_well_formed(r, schema)
     domain = WitnessDomain.for_rules(schema, rules, extra_timestamps=extra_timestamps)
     return domain.events(max_events=max_events)
 
@@ -216,31 +234,21 @@ def _domain_events(schema, rules, max_events=DEFAULT_MAX_EVENTS, extra_timestamp
 def rule_contains(tau: EventRule, tau_prime: EventRule, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """True when every event matching ``tau`` also matches ``tau_prime``."""
-    require_well_formed(tau, schema)
-    require_well_formed(tau_prime, schema)
-    for e in _domain_events(schema, (tau, tau_prime), max_events):
-        if match_unchecked(tau, e, schema) and not match_unchecked(tau_prime, e, schema):
-            return False
-    return True
+    t = MatchTable(_domain_events(schema, (tau, tau_prime), max_events), schema)
+    return not t.rule(tau) & ~t.rule(tau_prime)
 
 
 def rules_overlap(tau: EventRule, tau_prime: EventRule, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """True when some event matches both rules."""
-    require_well_formed(tau, schema)
-    require_well_formed(tau_prime, schema)
-    for e in _domain_events(schema, (tau, tau_prime), max_events):
-        if match_unchecked(tau, e, schema) and match_unchecked(tau_prime, e, schema):
-            return True
-    return False
+    t = MatchTable(_domain_events(schema, (tau, tau_prime), max_events), schema)
+    return bool(t.rule(tau) & t.rule(tau_prime))
 
 
 def rule_satisfiable(tau: EventRule, schema: FeatureSchema,
                      *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """True when some event matches the rule at all."""
-    require_well_formed(tau, schema)
-    return any(match_unchecked(tau, e, schema)
-               for e in _domain_events(schema, (tau,), max_events))
+    return bool(MatchTable(_domain_events(schema, (tau,), max_events), schema).rule(tau))
 
 
 def set_contains(rules, rules_prime, schema: FeatureSchema,
@@ -248,37 +256,17 @@ def set_contains(rules, rules_prime, schema: FeatureSchema,
     """Semantic set-lifted containment: every event matching some rule on the
     left matches some rule on the right."""
     rules, rules_prime = tuple(rules), tuple(rules_prime)
-    for r in rules + rules_prime:
-        require_well_formed(r, schema)
-    for e in _domain_events(schema, rules + rules_prime, max_events):
-        if (any(match_unchecked(r, e, schema) for r in rules)
-                and not any(match_unchecked(r, e, schema) for r in rules_prime)):
-            return False
-    return True
-
-
-def pairwise_set_contains(rules, rules_prime, schema: FeatureSchema) -> bool:
-    """Sound but incomplete shortcut for ``set_contains``: per-rule subsumption."""
-    return all(any(rule_contains(t, tp, schema) for tp in rules_prime)
-               for t in rules)
+    t = MatchTable(_domain_events(schema, rules + rules_prime, max_events), schema)
+    return not t.any(rules) & ~t.any(rules_prime)
 
 
 def is_consistent(p: LitePolicy, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """No permission or obligation overlaps a prohibition, and every
     obligation is covered by the permissions."""
-    rules = tuple(p.all_rules())
-    for r in rules:
-        require_well_formed(r, schema)
-    for e in _domain_events(schema, rules, max_events):
-        p_hit = any(match_unchecked(r, e, schema) for r in p.permissions)
-        f_hit = any(match_unchecked(r, e, schema) for r in p.prohibitions)
-        o_hit = any(match_unchecked(r, e, schema) for r in p.obligations)
-        if f_hit and (p_hit or o_hit):
-            return False
-        if o_hit and not p_hit:
-            return False
-    return True
+    t = MatchTable(_domain_events(schema, p.all_rules(), max_events), schema)
+    permitted, obliged = t.any(p.permissions), t.any(p.obligations)
+    return not (t.any(p.prohibitions) & (permitted | obliged) or obliged & ~permitted)
 
 
 # ---------------------------------------------------------------------------
@@ -295,37 +283,18 @@ def _core_pins(rule: EventRule, schema: FeatureSchema) -> dict:
     return pins
 
 
-class _DomainOracle:
-    """Satisfiability / overlap / coverage checks against one shared event
-    list, so normalization probes stay region-complete while rules change."""
-
-    def __init__(self, schema: FeatureSchema, rules, max_events: int):
-        self.schema = schema
-        self.events = list(_domain_events(schema, rules, max_events))
-
-    def satisfiable(self, rule: EventRule) -> bool:
-        return any(match_unchecked(rule, e, self.schema) for e in self.events)
-
-    def overlap(self, a: EventRule, b: EventRule) -> bool:
-        return any(match_unchecked(a, e, self.schema)
-                   and match_unchecked(b, e, self.schema) for e in self.events)
-
-    def covered(self, rule: EventRule, covers) -> bool:
-        covers = tuple(covers)
-        return all(any(match_unchecked(c, e, self.schema) for c in covers)
-                   for e in self.events if match_unchecked(rule, e, self.schema))
-
-
-def _forbidden_pin_gap(rule, prohibition, schema) -> int | None:
-    """A core component the prohibition pins but the rule leaves open, if any."""
+def _require_pin_cover(rule, prohibition, schema, which: str) -> None:
+    """Raise unless the rule pins every core component the prohibition pins."""
     rule_pins = _core_pins(rule, schema)
     for k in _core_pins(prohibition, schema):
         if k not in rule_pins:
-            return k
-    return None
+            raise NormalizationError(
+                "inexpressible-difference",
+                f"prohibition {prohibition.display_label(schema)} pins core feature "
+                f"{schema.declaration(k).name}, which {which}")
 
 
-def _carve_permission(rule: EventRule, prohibitions, schema, oracle,
+def _carve_permission(rule: EventRule, prohibitions, schema, table,
                       max_rules: int) -> list:
     """The permission minus every prohibition, as a set of well-formed rules.
 
@@ -336,23 +305,18 @@ def _carve_permission(rule: EventRule, prohibitions, schema, oracle,
     for f in prohibitions:
         nxt = []
         for piece in work:
-            if not oracle.overlap(piece, f):
+            if not table.rule(piece) & table.rule(f):
                 nxt.append(piece)
                 continue
-            gap = _forbidden_pin_gap(piece, f, schema)
-            if gap is not None:
-                raise NormalizationError(
-                    "inexpressible-difference",
-                    f"prohibition {f.display_label(schema)} pins core feature "
-                    f"{schema.declaration(gap).name}, which permission "
-                    f"{piece.display_label(schema)} leaves open; the difference "
-                    f"cannot be written as well-formed rules")
-            negatable = [c for c in piece_complement_targets(f, schema)]
+            _require_pin_cover(piece, f, schema, (
+                f"permission {piece.display_label(schema)} leaves open; the "
+                f"difference cannot be written as well-formed rules"))
+            negatable = piece_complement_targets(f, schema)
             for idx, c in enumerate(negatable):
                 candidate = EventRule(
                     piece.conditions | {negate(c)},
                     label=_piece_label(piece.label, idx, len(negatable)))
-                if oracle.satisfiable(candidate):
+                if table.rule(candidate):
                     nxt.append(candidate)
         if len(nxt) > max_rules:
             raise NormalizationError(
@@ -374,7 +338,7 @@ def _piece_label(label: str | None, idx: int, total: int) -> str | None:
     return label if total == 1 else f"{label}~{idx}"
 
 
-def _carve_obligation(rule: EventRule, prohibitions, schema, oracle):
+def _carve_obligation(rule: EventRule, prohibitions, schema, table):
     """The obligation minus every prohibition, kept as a single rule.
 
     Obligations demand one matching event each, so the carved match set must
@@ -382,19 +346,12 @@ def _carve_obligation(rule: EventRule, prohibitions, schema, oracle):
     conjoined as one negated block, which is only well-formed when they share
     a component.
     """
-    from .model import And  # local import to keep module load order simple
-
     current = rule
     for f in prohibitions:
-        if not oracle.overlap(current, f):
+        if not table.rule(current) & table.rule(f):
             continue
-        gap = _forbidden_pin_gap(current, f, schema)
-        if gap is not None:
-            raise NormalizationError(
-                "inexpressible-difference",
-                f"prohibition {f.display_label(schema)} pins core feature "
-                f"{schema.declaration(gap).name}, which obligation "
-                f"{rule.display_label(schema)} leaves open")
+        _require_pin_cover(current, f, schema,
+                           f"obligation {rule.display_label(schema)} leaves open")
         targets = piece_complement_targets(f, schema)
         if not targets:
             return None  # prohibition swallows the obligation entirely
@@ -406,7 +363,7 @@ def _carve_obligation(rule: EventRule, prohibitions, schema, oracle):
                 f"complement of prohibition {f.display_label(schema)} mixes "
                 f"components, so obligation {rule.display_label(schema)} cannot "
                 f"stay a single well-formed rule")
-        if not oracle.satisfiable(candidate):
+        if not table.rule(candidate):
             return None
         current = candidate
     return current
@@ -421,15 +378,16 @@ def normalize(p: LitePolicy, schema: FeatureSchema, *,
     forbids, removes from obligations every part the carved permissions do
     not cover, and drops the then-redundant prohibitions.
     """
-    for r in p.all_rules():
-        require_well_formed(r, schema)
-    oracle = _DomainOracle(schema, tuple(p.all_rules()), max_events)
+    # One table over the original rules' witness domain: the carved pieces
+    # only negate and conjoin those rules' conditions, so the domain stays
+    # region-complete for them.
+    table = MatchTable(_domain_events(schema, p.all_rules(), max_events), schema)
     prohibitions = ordered_rules(p.prohibitions)
 
     new_permissions = []
     for tau in ordered_rules(p.permissions):
         new_permissions.extend(
-            _carve_permission(tau, prohibitions, schema, oracle, max_rules))
+            _carve_permission(tau, prohibitions, schema, table, max_rules))
     if len(new_permissions) > max_rules:
         raise NormalizationError(
             "normalization-blowup",
@@ -437,13 +395,14 @@ def normalize(p: LitePolicy, schema: FeatureSchema, *,
 
     new_obligations = []
     for o in ordered_rules(p.obligations):
-        carved = _carve_obligation(o, prohibitions, schema, oracle)
+        carved = _carve_obligation(o, prohibitions, schema, table)
         if carved is None:
             continue
-        if oracle.covered(carved, new_permissions):
+        carved_mask = table.rule(carved)
+        if not carved_mask & ~table.any(new_permissions):
             new_obligations.append(carved)
             continue
-        overlapping = [t for t in new_permissions if oracle.overlap(carved, t)]
+        overlapping = [t for t in new_permissions if carved_mask & table.rule(t)]
         if not overlapping:
             continue  # nothing of the obligation is permitted: drop it
         if len(overlapping) == 1:
@@ -513,34 +472,23 @@ def asymmetric_conflict(requester: LitePolicy, provider: LitePolicy,
         provider, schema, auto_normalize, max_events, "provider")
 
     rules = tuple(requester.all_rules()) + tuple(provider.all_rules())
-    events = list(_domain_events(schema, rules, max_events))
-
-    def hits(rule):
-        return [e for e in events if match_unchecked(rule, e, schema)]
-
-    obligation_hits = {tau: hits(tau) for tau in requester.obligations}
+    table = MatchTable(_domain_events(schema, rules, max_events), schema)
+    events = table.events
+    obligation_hits = [table.rule(tau) for tau in requester.obligations]
 
     # A requester obligation no event can satisfy makes every world invalid
     # for the requester, so the requester is vacuously contained.
-    if any(not hs for hs in obligation_hits.values()):
+    if not all(obligation_hits):
         return ConflictVerdict(
             False, "asymmetric",
             detail="requester policy is unsatisfiable; containment holds vacuously")
 
+    # A witness takes, from each match set that shows the failure, its first
+    # probe event in domain order: the lowest set bit.
     # Containment characterization, condition 1: permission coverage.
-    permissions = ordered_rules(requester.permissions)
-    provider_permissions = ordered_rules(provider.permissions)
-    e_star = None
-    for e in events:
-        if (any(match_unchecked(t, e, schema) for t in permissions)
-                and not any(match_unchecked(t, e, schema)
-                            for t in provider_permissions)):
-            e_star = e
-            break
-    if e_star is not None:
-        witness_events = {e_star}
-        for tau in ordered_rules(requester.obligations):
-            witness_events.add(obligation_hits[tau][0])
+    gap = table.any(requester.permissions) & ~table.any(provider.permissions)
+    if gap:
+        witness_events = {events[lowest_bit(m)] for m in [gap] + obligation_hits}
         return ConflictVerdict(
             True, "asymmetric", cause=CAUSE_PERMISSIONS,
             witness=World(frozenset(witness_events)),
@@ -548,28 +496,17 @@ def asymmetric_conflict(requester: LitePolicy, provider: LitePolicy,
 
     # Condition 2: every provider obligation is agreed to by containment.
     for tau_prime in ordered_rules(provider.obligations):
-        agreed = any(
-            _contains_on(events, tau, tau_prime, schema)
-            for tau in requester.obligations)
-        if agreed:
+        outside = ~table.rule(tau_prime)
+        if any(not m & outside for m in obligation_hits):
             continue
-        witness_events = set()
-        for tau in ordered_rules(requester.obligations):
-            e = next(e for e in obligation_hits[tau]
-                     if not match_unchecked(tau_prime, e, schema))
-            witness_events.add(e)
         return ConflictVerdict(
             True, "asymmetric", cause=CAUSE_OBLIGATIONS,
-            witness=World(frozenset(witness_events)),
+            witness=World(frozenset(
+                events[lowest_bit(m & outside)] for m in obligation_hits)),
             detail=f"provider obligation {tau_prime.display_label(schema)} "
                    f"contains no requester obligation")
 
     return ConflictVerdict(False, "asymmetric")
-
-
-def _contains_on(events, tau, tau_prime, schema) -> bool:
-    return all(match_unchecked(tau_prime, e, schema)
-               for e in events if match_unchecked(tau, e, schema))
 
 
 def symmetric_conflict(p: LitePolicy, p_prime: LitePolicy, schema: FeatureSchema,
@@ -618,8 +555,6 @@ def brute_force_containment(p: Policy, p_prime: Policy, schema: FeatureSchema,
 def _brute_force_lite(p: LitePolicy, p_prime: LitePolicy, schema,
                       max_events, max_world_size) -> bool:
     rules = tuple(p.all_rules()) + tuple(p_prime.all_rules())
-    for r in rules:
-        require_well_formed(r, schema)
     events = list(_domain_events(schema, rules, max_events))
     bound = (len(p.obligations) + 1) if max_world_size is None else max_world_size
 
@@ -669,8 +604,6 @@ def _brute_force_full(p: Policy, p_prime: Policy, schema,
     p_full = p if isinstance(p, FullPolicy) else FullPolicy.of(p)
     q_full = p_prime if isinstance(p_prime, FullPolicy) else FullPolicy.of(p_prime)
     rules = tuple(p_full.all_rules()) + tuple(q_full.all_rules())
-    for r in rules:
-        require_well_formed(r, schema)
 
     # Deadline constants +/- 1 give the enumeration enough timestamp
     # resolution to order events around each deadline.

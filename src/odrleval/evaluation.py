@@ -14,10 +14,17 @@ gives the plain verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .matching import match_unchecked, require_well_formed, strip_deadline_conditions
+from .matching import (
+    MatchTable,
+    bit_positions,
+    lowest_bit,
+    require_well_formed,
+    strip_deadline_conditions,
+)
 from .model import (
     EventRule,
     FeatureSchema,
@@ -81,35 +88,32 @@ class ViolationReport:
         return tuple(f for f in self.findings if f.clause is clause)
 
 
-def _prepare(policy_rules, world: World, schema: FeatureSchema) -> None:
+def _prepare(policy_rules, world: World, schema: FeatureSchema) -> MatchTable:
+    """Validate the inputs; the match table over the timestamp-ordered world."""
     conform_world(world, schema)
     for rule in policy_rules:
         require_well_formed(rule, schema)
+    return MatchTable(world.ordered(), schema)
 
 
-def _lite_findings(p: LitePolicy, w: World, s: FeatureSchema) -> list:
+def _lite_findings(p: LitePolicy, table: MatchTable, s: FeatureSchema) -> list:
     findings = []
-    events = w.ordered()
-    permissions = ordered_rules(p.permissions)
-    prohibitions = ordered_rules(p.prohibitions)
-    obligations = ordered_rules(p.obligations)
+    events = table.events
 
     # Permissions: an event no permission matches is a violation; with an
     # empty P the conjunction of negated matches is vacuously true.
-    for e in events:
-        if not any(match_unchecked(tau, e, s) for tau in permissions):
-            findings.append(Finding(Clause.PERMISSIONS, witnesses=(e,)))
+    for j in bit_positions(table.all & ~table.any(p.permissions)):
+        findings.append(Finding(Clause.PERMISSIONS, witnesses=(events[j],)))
 
     # Prohibitions: any (event, prohibition) match is a violation.
-    for e in events:
-        for tau in prohibitions:
-            if match_unchecked(tau, e, s):
-                findings.append(Finding(
-                    Clause.PROHIBITIONS, rules=(tau.display_label(s),), witnesses=(e,)))
+    for tau in ordered_rules(p.prohibitions):
+        for j in bit_positions(table.rule(tau)):
+            findings.append(Finding(
+                Clause.PROHIBITIONS, rules=(tau.display_label(s),), witnesses=(events[j],)))
 
     # Obligations: an obligation with no matching event is a violation.
-    for tau in obligations:
-        if not any(match_unchecked(tau, e, s) for e in events):
+    for tau in ordered_rules(p.obligations):
+        if not table.rule(tau):
             findings.append(Finding(
                 Clause.OBLIGATIONS, rules=(tau.display_label(s),),
                 missing=f"no event matches obligation {tau.display_label(s)}"))
@@ -119,27 +123,36 @@ def _lite_findings(p: LitePolicy, w: World, s: FeatureSchema) -> list:
 
 def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the three lite clauses and report every finding."""
-    _prepare(p.all_rules(), w, s)
-    findings = _lite_findings(p, w, s)
+    table = _prepare(p.all_rules(), w, s)
+    findings = _lite_findings(p, table, s)
     findings.sort(key=Finding.sort_key)
     return ViolationReport(not findings, tuple(findings))
 
 
 def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the lite clauses plus duties, remedies and consequences."""
-    _prepare(p.all_rules(), w, s)
-    findings = _lite_findings(p.lite, w, s)
-    events = w.ordered()
+    table = _prepare(p.all_rules(), w, s)
+    findings = _lite_findings(p.lite, table, s)
+    events = table.events
 
-    def matches(rule: EventRule):
-        return [e for e in events if match_unchecked(rule, e, s)]
+    # Events are in timestamp order, so the lowest and highest bits of a
+    # match set carry its earliest and latest timestamps.
+    def first(rule: EventRule):
+        m = table.rule(rule)
+        return events[lowest_bit(m)].timestamp if m else math.inf
+
+    def last(rule: EventRule):
+        m = table.rule(rule)
+        return events[m.bit_length() - 1].timestamp if m else -math.inf
+
+    def matched(rule: EventRule):
+        return [events[j] for j in bit_positions(table.rule(rule))]
 
     # Permission duties: a permitted event with no duty event at or before it.
-    for labels, pair in _labelled(p.duty_pairs, s):
-        tau_r, duty_r = pair
-        duty_events = matches(duty_r)
-        for e in matches(tau_r):
-            if not any(d.timestamp <= e.timestamp for d in duty_events):
+    for labels, (tau_r, duty_r) in _labelled(p.duty_pairs, s):
+        earliest = first(duty_r)
+        for e in matched(tau_r):
+            if earliest > e.timestamp:
                 findings.append(Finding(
                     Clause.PERMISSION_DUTIES, rules=labels, witnesses=(e,),
                     missing=f"no event matching duty {labels[1]} at or before "
@@ -147,18 +160,14 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
     # Permission duties with consequences: no prior duty, and additionally no
     # subsequent duty or no subsequent consequence.
-    for labels, triple in _labelled(p.duty_consequence_triples, s):
-        tau_r, duty_r, consequence_r = triple
-        duty_events = matches(duty_r)
-        consequence_events = matches(consequence_r)
-        for e in matches(tau_r):
-            prior_duty = any(d.timestamp <= e.timestamp for d in duty_events)
-            if prior_duty:
+    for labels, (tau_r, duty_r, consequence_r) in _labelled(p.duty_consequence_triples, s):
+        earliest, latest, latest_consequence = (
+            first(duty_r), last(duty_r), last(consequence_r))
+        for e in matched(tau_r):
+            if earliest <= e.timestamp:
                 continue
-            later_duty = any(d.timestamp >= e.timestamp for d in duty_events)
-            later_consequence = any(
-                c.timestamp >= e.timestamp for c in consequence_events)
-            if not later_duty or not later_consequence:
+            later_duty = latest >= e.timestamp
+            if not later_duty or latest_consequence < e.timestamp:
                 which = "duty" if not later_duty else "consequence"
                 findings.append(Finding(
                     Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES,
@@ -166,11 +175,10 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
                     missing=f"no prior duty event and no subsequent {which} event"))
 
     # Prohibition remedies: a matched prohibition with no remedy at or after it.
-    for labels, pair in _labelled(p.remedy_pairs, s):
-        tau_r, remedy_r = pair
-        remedy_events = matches(remedy_r)
-        for e in matches(tau_r):
-            if not any(r.timestamp >= e.timestamp for r in remedy_events):
+    for labels, (tau_r, remedy_r) in _labelled(p.remedy_pairs, s):
+        latest = last(remedy_r)
+        for e in matched(tau_r):
+            if latest < e.timestamp:
                 findings.append(Finding(
                     Clause.PROHIBITION_REMEDIES, rules=labels, witnesses=(e,),
                     missing=f"no event matching remedy {labels[1]} at or after "
@@ -178,18 +186,13 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
     # Obligation consequences: the deadline obligation was never met, and no
     # late fulfilment plus consequence at or after the deadline exists.
-    for labels, pair in _labelled(p.obligation_consequence_pairs, s):
-        tau_r, consequence_r = pair
-        fulfilled = bool(matches(tau_r))
-        if fulfilled:
+    for labels, (tau_r, consequence_r) in _labelled(p.obligation_consequence_pairs, s):
+        if table.rule(tau_r):
             continue
-        soft = strip_deadline_conditions(tau_r)
-        late = [e for e in events if match_unchecked(soft, e, s)]
-        consequence_events = matches(consequence_r)
+        late = table.rule(strip_deadline_conditions(tau_r))
         for deadline in deadline_conditions(tau_r):
             t = deadline.value.raw
-            made_up = bool(late) and any(c.timestamp >= t for c in consequence_events)
-            if not made_up:
+            if not late or last(consequence_r) < t:
                 findings.append(Finding(
                     Clause.OBLIGATION_CONSEQUENCES, rules=labels,
                     missing=f"obligation unfulfilled by timestamp {t} and no late "

@@ -17,7 +17,8 @@ value.
 from __future__ import annotations
 
 import functools
-from collections import deque
+import math
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Union
@@ -80,7 +81,8 @@ class Value:
         ok = (
             (k is ValueKind.NULL and r is None)
             or (k is ValueKind.TIMESTAMP and isinstance(r, int) and not isinstance(r, bool))
-            or (k is ValueKind.NUMBER and isinstance(r, (int, float)) and not isinstance(r, bool))
+            or (k is ValueKind.NUMBER and isinstance(r, (int, float)) and not isinstance(r, bool)
+                and (not isinstance(r, float) or math.isfinite(r)))
             or (k in (ValueKind.TEXT, ValueKind.IDENTIFIER) and isinstance(r, str))
             or (k is ValueKind.IDENTIFIER_SET and isinstance(r, frozenset)
                 and all(isinstance(m, str) for m in r))
@@ -254,17 +256,11 @@ class FeatureSchema:
     def datatype(self, i: int) -> Datatype:
         return self.declaration(i).datatype
 
-    def is_core(self, i: int) -> bool:
-        return self.declaration(i).component in CORE_TAGS
-
     def by_name(self, name: str) -> FeatureDecl:
         for decl in self.features:
             if decl.name == name:
                 return decl
         raise KeyError(name)
-
-    def core_features(self) -> tuple:
-        return tuple(d for d in self.features if d.component in CORE_TAGS)
 
 
 def _check_schema(schema: FeatureSchema) -> None:
@@ -412,7 +408,11 @@ class World:
         return len(self.events)
 
     def ordered(self) -> tuple:
-        return tuple(sorted(self.events, key=Event.sort_key))
+        """Events in ``Event.sort_key`` order. Slot 0 is always a timestamp,
+        so full keys are only built for events that share one."""
+        tied = Counter(e.timestamp for e in self.events)
+        return tuple(sorted(self.events, key=lambda e: (e.timestamp, e.sort_key())
+                            if tied[e.timestamp] > 1 else (e.timestamp,)))
 
 
 def conform_world(world: World, schema: FeatureSchema) -> None:
@@ -649,15 +649,17 @@ class LitePolicy:
         return self.permissions | self.prohibitions | self.obligations
 
 
+def is_deadline(c: Condition) -> bool:
+    """True for a timestamp deadline ``<Datetime, <=, t>``."""
+    return (isinstance(c, SimpleCondition)
+            and c.feature == TIMESTAMP_FEATURE
+            and c.op is Operator.LTEQ
+            and c.value.kind is ValueKind.TIMESTAMP)
+
+
 def deadline_conditions(rule: EventRule) -> tuple:
     """Top-level timestamp deadlines ``<Datetime, <=, t>`` of a rule."""
-    out = [
-        c for c in rule.conditions
-        if isinstance(c, SimpleCondition)
-        and c.feature == TIMESTAMP_FEATURE
-        and c.op is Operator.LTEQ
-        and c.value.kind is ValueKind.TIMESTAMP
-    ]
+    out = [c for c in rule.conditions if is_deadline(c)]
     return tuple(sorted(out, key=lambda c: c.value.raw))
 
 
@@ -801,13 +803,6 @@ class ActionVocabulary:
                     seen.add(child)
                     queue.append(child)
         return frozenset(seen)
-
-    def actions(self) -> frozenset:
-        out = set()
-        for child, parent in self.included_in:
-            out.add(child)
-            out.add(parent)
-        return frozenset(out)
 
 
 EMPTY_VOCABULARY = ActionVocabulary(frozenset())

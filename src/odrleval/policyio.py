@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from datetime import datetime, timezone
 
 from .errors import DocumentError
@@ -226,18 +227,18 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
     if datatype is Datatype.NUMERIC:
         if isinstance(raw, bool):
             raise DocumentError("unparsable-value", f"{where}: boolean number")
-        if isinstance(raw, (int, float)):
-            return Value.number(raw)
         if isinstance(raw, str):
             try:
-                return Value.number(int(raw))
+                raw = int(raw)
             except ValueError:
                 try:
-                    return Value.number(float(raw))
+                    raw = float(raw)
                 except ValueError as exc:
                     raise DocumentError(
                         "unparsable-value", f"{where}: {raw!r} is not numeric",
                         location=where) from exc
+        if isinstance(raw, int) or isinstance(raw, float) and math.isfinite(raw):
+            return Value.number(raw)
     if datatype is Datatype.STRING and isinstance(raw, str):
         return Value.text(raw)
     if datatype is Datatype.IDENTIFIER and isinstance(raw, str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from odrleval import EventRule, LitePolicy, Operator, World
+from odrleval import EventRule, LitePolicy, Operator, World, rule_contains
 from odrleval.comparison import WitnessDomain
 from odrleval.matching import match_unchecked
 from conftest import ACTION, ACTOR, ASSET, DATETIME, PAGES, eq, num, ts
@@ -153,3 +153,9 @@ def representative_worlds(schema, rule_sets, max_size: int):
     for size in range(0, min(max_size, len(reps)) + 1):
         for combo in itertools.combinations(reps, size):
             yield World(frozenset(combo))
+
+
+def pairwise_set_contains(rules, rules_prime, schema) -> bool:
+    """Sound but incomplete shortcut for ``set_contains``: per-rule subsumption."""
+    return all(any(rule_contains(t, tp, schema) for tp in rules_prime)
+               for t in rules)

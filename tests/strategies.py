@@ -1,13 +1,23 @@
 """Hypothesis strategies over the demo schema: values, events, conditions,
-and well-formed rules."""
+and well-formed rules; plus a tagged variant of the schema with class
+information for ``isA``."""
 
 from __future__ import annotations
+
+import dataclasses
 
 from hypothesis import strategies as st
 
 from odrleval import (
     And,
+    ComponentTag,
+    Constant,
+    Datatype,
+    Event,
     EventRule,
+    FeatureDecl,
+    FeatureSchema,
+    NULL,
     Not,
     Operator,
     Or,
@@ -15,6 +25,7 @@ from odrleval import (
     Value,
     Xor,
 )
+from odrleval.model import SCALAR_OPERATORS
 from conftest import (
     ACTION,
     ACTOR,
@@ -23,6 +34,7 @@ from conftest import (
     PAGES,
     RESOLUTION,
     make_event,
+    make_schema,
 )
 
 ACTIONS = ("Print", "Read")
@@ -116,3 +128,72 @@ def well_formed_rules(draw):
     conds.extend(draw(_component_refinements(RESOLUTION, NUMBERS, Value.number)))
     conds.extend(draw(_component_refinements(DATETIME, TIMESTAMPS, Value.timestamp)))
     return EventRule(frozenset(conds))
+
+
+# -- the tagged schema: the demo features plus a per-event class set ----------
+
+TAGS = 6
+CLASSES = ("Staff", "Guest")
+
+
+def tagged_schema() -> FeatureSchema:
+    """Actor classes come from the ``Tags`` feature; Asset has static classes."""
+    base = make_schema().features
+    actor = dataclasses.replace(base[ACTOR], class_feature=TAGS)
+    asset = dataclasses.replace(base[ASSET], classes=frozenset({"Media"}))
+    tags = FeatureDecl(TAGS, "Tags", Datatype.IDENTIFIER_SET, ComponentTag.RULE)
+    return FeatureSchema(base[:ACTOR] + (actor, asset) + base[ASSET + 1:] + (tags,))
+
+
+def _class_sets():
+    return st.frozensets(st.sampled_from(CLASSES + ("Media",))).map(Value.identifier_set)
+
+
+def tagged_events():
+    return st.builds(lambda e, tags: Event(e.values + (tags,)),
+                     events(), st.one_of(st.just(NULL), _class_sets()))
+
+
+_CONSTANTS = (Value.timestamp(3), Value.number(250), Value.text("Bob"),
+              Value.identifier("Bob"), Value.identifier("Book"),
+              Value.identifier("Staff"), Value.identifier("Media"))
+_SCALAR_CONSTANT_OPS = tuple(
+    op for op in Operator if op not in (Operator.IS_ANY_OF, Operator.IS_NONE_OF))
+_SET_CONSTANT_OPS = tuple(op for op in Operator if op not in SCALAR_OPERATORS)
+
+
+def _any_simple_conditions():
+    """Every operator on every tagged feature, with constants of every kind,
+    so most triples compare mismatched kinds."""
+    features = st.integers(0, TAGS)
+    return st.one_of(
+        st.builds(SimpleCondition, features, st.sampled_from(_SCALAR_CONSTANT_OPS),
+                  st.sampled_from(_CONSTANTS)),
+        st.builds(SimpleCondition, features, st.sampled_from(_SET_CONSTANT_OPS),
+                  _class_sets()),
+    )
+
+
+def _is_a_conditions():
+    """isA through the class feature (Actor) and static classes (Asset)."""
+    return st.builds(SimpleCondition, st.sampled_from((ACTOR, ASSET)),
+                     st.just(Operator.IS_A),
+                     st.sampled_from([Value.identifier(c) for c in CLASSES + ("Media",)])
+                     | _class_sets())
+
+
+def tagged_conditions(max_leaves: int = 4):
+    """Condition trees over the tagged schema: every operator, null-blind and
+    kind-mismatched comparisons, class tests, xor and truth constants."""
+    leaves = st.one_of(simple_conditions(), _any_simple_conditions(),
+                       _is_a_conditions(), st.builds(Constant, st.booleans()))
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(lambda a, b: And((a, b)), children, children),
+            st.builds(lambda a, b: Or((a, b)), children, children),
+            st.builds(Not, children),
+            st.builds(Xor, children, children),
+        ),
+        max_leaves=max_leaves,
+    )

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from odrleval.cli import main
 
@@ -233,6 +238,47 @@ def test_parse_error_exits_2_with_error_object(capsys, tmp_path):
     error = json.loads(err)
     assert error["error"] == "bad-format"
     assert "message" in error
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+def test_non_finite_world_value_exits_2_with_error_object(capsys, tmp_path, cell):
+    world = tmp_path / "world.csv"
+    world.write_text(
+        "Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+        f"1,Print,Alice,Picture,{cell},null\n")
+    code, out, err = run(capsys, "evaluate",
+                         "--policy", str(DEMO / "policy.json"),
+                         "--world", str(world),
+                         "--schema", str(DEMO / "schema.json"))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "unparsable-value"
+
+
+def test_output_does_not_depend_on_hash_seed():
+    # Rule conditions and rule sets are frozensets, whose iteration order
+    # follows the interpreter's hash seed; no verdict or report may.
+    commands = (
+        ["evaluate", "--policy", str(DEMO / "policy.json"),
+         "--world", str(DEMO / "world.csv"), "--schema", str(DEMO / "schema.json"),
+         "--vocab", str(DEMO / "vocabulary.json")],
+        ["compare", "--requester", str(DEMO / "requester.json"),
+         "--provider", str(DEMO / "provider.json"),
+         "--schema", str(DEMO / "schema.json"), "--mode", "symmetric"],
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in commands:
+        runs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            done = subprocess.run(
+                [sys.executable, "-m", "odrleval.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120)
+            runs.append((done.returncode, done.stdout))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 1) and runs[0][1]
 
 
 def test_evaluate_with_vocabulary_saturates(capsys, tmp_path):

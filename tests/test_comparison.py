@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
-from generators import random_consistent_policy, representative_worlds
+from generators import (
+    pairwise_set_contains,
+    random_consistent_policy,
+    representative_worlds,
+)
 from odrleval import (
     And,
     EventRule,
@@ -29,11 +33,7 @@ from odrleval import (
     set_contains,
     symmetric_conflict,
 )
-from odrleval.comparison import (
-    CAUSE_OBLIGATIONS,
-    CAUSE_PERMISSIONS,
-    pairwise_set_contains,
-)
+from odrleval.comparison import CAUSE_OBLIGATIONS, CAUSE_PERMISSIONS
 from conftest import (
     ACTION,
     ACTOR,
@@ -417,6 +417,30 @@ def test_witness_domain_probe_structure(schema):
     assert NULL in actor_probes
     # the timestamp slot never holds null
     assert all(not v.is_null for v in domain.probes[0])
+
+
+BIG = 2 ** 60
+
+
+def test_satisfiable_between_large_numbers(schema):
+    # The float midpoint of 2**60 and 2**60 + 2 rounds onto 2**60, and
+    # 1e20 - 1 and 1e20 + 1 round onto 1e20; each probe must still land
+    # strictly inside its region.
+    between = bob_read_book(num(PAGES, Operator.GT, BIG), num(PAGES, Operator.LT, BIG + 2))
+    assert rule_satisfiable(between, schema) is True
+    assert rule_satisfiable(bob_read_book(num(PAGES, Operator.LT, 1e20)), schema) is True
+    assert rule_satisfiable(bob_read_book(num(PAGES, Operator.GT, 1e20)), schema) is True
+
+
+def test_consistency_sees_overlap_between_large_integers(schema):
+    from odrleval import Clause, World, evaluate_lite
+    permission = bob_read_book(num(PAGES, Operator.GT, BIG), label="p")
+    prohibition = bob_read_book(num(PAGES, Operator.LT, BIG + 2), label="f")
+    policy = LitePolicy.of({permission}, {prohibition}, ())
+    assert is_consistent(policy, schema) is False
+    world = World.of((make_event(1, "Read", "Bob", "Book", pages=BIG + 1),))
+    report = evaluate_lite(policy, world, schema)
+    assert [f.clause for f in report.findings] == [Clause.PROHIBITIONS]
 
 
 def test_brute_force_full_policies(schema):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,3 +275,20 @@ def test_permissions_clause_unfalsifiable_with_universal_permissions(events):
     report = evaluate_lite(LitePolicy.of(universal), World.of(events), schema)
     assert report.by_clause(Clause.PERMISSIONS) == ()
     assert report.valid
+
+
+def test_deadline_evaluation_memory_is_linear_in_log_size(schema):
+    """A deadline condition compiles a Datetime match set over a log whose
+    timestamps are all distinct; the table must stay linear in the log."""
+    n = 100_000
+    world = World.of(tuple(
+        make_event(10 + j, "Read", "Bob", "Book") if j % 2
+        else make_event(10 + j, "Pay", "Bob", None) for j in range(n)))
+    tracemalloc.start()
+    try:
+        report = evaluate_full(oc_policy(), world, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB for {n} events"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from odrleval import (
+    Event,
     EventRule,
     IllFormedRuleError,
     Not,
@@ -14,11 +16,14 @@ from odrleval import (
     Or,
     RULE_WIDE,
     SimpleCondition,
+    World,
     check_well_formed,
+    eval_complex,
     match,
     softmatch,
     strip_deadline_conditions,
 )
+from odrleval.matching import MatchTable, bit_positions, match_unchecked
 from odrleval.model import features_of, simple_conditions_of
 from conftest import (
     ACTION,
@@ -193,3 +198,27 @@ def test_xor_shielded_deadline_is_retained_by_softmatch(schema):
         assert match(rule, e, schema) is expected
         # mixed polarity: the deadline stays, so soft and full match agree
         assert softmatch(rule, e, schema) is expected
+
+
+# -- the match table against the interpreter ----------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(strategies.tagged_events(), min_size=1, max_size=12),
+       st.lists(strategies.tagged_conditions(), min_size=1, max_size=3))
+def test_match_table_agrees_with_eval_complex(events, conditions):
+    schema = strategies.tagged_schema()
+    table = MatchTable(events, schema)
+    for c in conditions:
+        expected = [eval_complex(c, e, schema) for e in events]
+        assert [bool(table.condition(c) >> j & 1) for j in range(len(events))] == expected
+    rule = EventRule(frozenset(conditions))
+    expected = [j for j, e in enumerate(events) if match_unchecked(rule, e, schema)]
+    assert list(bit_positions(table.rule(rule))) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(strategies.events(), max_size=20))
+def test_ordered_world_follows_event_sort_key(events):
+    # Few distinct timestamps, so most worlds hold timestamp ties.
+    world = World(frozenset(events))
+    assert world.ordered() == tuple(sorted(world.events, key=Event.sort_key))

@@ -136,6 +136,12 @@ def test_value_kind_checks():
         Value(Value.number(1).kind, "nan-string")
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_number_rejected(x):
+    with pytest.raises(ModelInvariantError):
+        Value.number(x)
+
+
 def test_condition_operator_arity():
     with pytest.raises(ModelInvariantError):
         SimpleCondition(2, Operator.GT, Value.identifier_set({"a"}))

@@ -108,6 +108,38 @@ def test_world_unparsable_value_has_coordinates(schema):
     assert "Print.Resolution" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_world_non_finite_number_rejected(schema, cell):
+    text = ("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+            f"1,Print,Alice,Picture,{cell},null\n")
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(text, schema)
+    assert err.value.kind == "unparsable-value"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+def test_policy_non_finite_constant_rejected(schema, token):
+    constant = json.loads(token)
+    canonical = {
+        "format": "policy/1", "kind": "lite",
+        "permissions": [{"label": "x", "conditions": [
+            {"feature": "Action", "op": "eq", "value": "Print"},
+            {"feature": "Print.Resolution", "op": "gt", "value": constant}]}],
+    }
+    odrl = {
+        "@context": "http://www.w3.org/ns/odrl.jsonld", "@type": "Set",
+        "permission": [{
+            "assignee": "Alice", "target": "Picture",
+            "action": {"value": "Print", "refinement": [
+                {"leftOperand": "Print.Resolution", "operator": "gt",
+                 "rightOperand": constant}]}}],
+    }
+    for doc in (canonical, odrl):
+        with pytest.raises(DocumentError) as err:
+            parse_policy_document(doc, schema)
+        assert err.value.kind == "unparsable-value"
+
+
 def test_world_duplicate_rows_collapse(schema):
     text = ("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
             "1,Print,Alice,Picture,500,null\n"
