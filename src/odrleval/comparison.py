@@ -63,6 +63,7 @@ from .model import (
 
 DEFAULT_MAX_EVENTS = 200_000
 DEFAULT_MAX_SET_ATOMS = 6
+DEFAULT_MAX_RULES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +98,14 @@ class WitnessDomain:
                     # companion feature, so its atoms must cover them.
                     if decl.class_feature is not None:
                         touched.add(decl.class_feature)
-                        for m in _members(sc.value):
-                            set_atoms[decl.class_feature].add(m)
+                        set_atoms[decl.class_feature].update(sc.members)
                 elif sc.op in (Operator.HAS_PART, Operator.IS_PART_OF,
                                Operator.IS_ALL_OF):
                     if decl.datatype is Datatype.IDENTIFIER_SET:
-                        set_atoms[i].update(_members(sc.value))
+                        set_atoms[i].update(sc.members)
                 elif sc.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
                     if expected in (ValueKind.IDENTIFIER, ValueKind.TEXT):
-                        scalar_constants[i].update(_members(sc.value))
+                        scalar_constants[i].update(sc.members)
                 elif sc.value.kind is expected:
                     scalar_constants[i].add(sc.value.raw)
 
@@ -160,12 +160,6 @@ class WitnessDomain:
                 f"cap is {max_events}")
         for combo in itertools.product(*self.probes):
             yield Event(combo)
-
-
-def _members(v: Value) -> frozenset:
-    if v.kind is ValueKind.IDENTIFIER_SET:
-        return v.raw
-    return frozenset({v.raw}) if isinstance(v.raw, str) else frozenset()
 
 
 def _fresh_atom(base: str, taken) -> str:
@@ -265,6 +259,11 @@ def is_consistent(p: LitePolicy, schema: FeatureSchema,
     """No permission or obligation overlaps a prohibition, and every
     obligation is covered by the permissions."""
     t = MatchTable(_domain_events(schema, p.all_rules(), max_events), schema)
+    return _consistent(t, p)
+
+
+def _consistent(t: MatchTable, p: LitePolicy) -> bool:
+    """``is_consistent`` on a table whose domain covers at least p's rules."""
     permitted, obliged = t.any(p.permissions), t.any(p.obligations)
     return not (t.any(p.prohibitions) & (permitted | obliged) or obliged & ~permitted)
 
@@ -370,7 +369,7 @@ def _carve_obligation(rule: EventRule, prohibitions, schema, table):
 
 
 def normalize(p: LitePolicy, schema: FeatureSchema, *,
-              max_rules: int = 256,
+              max_rules: int = DEFAULT_MAX_RULES,
               max_events: int = DEFAULT_MAX_EVENTS) -> LitePolicy:
     """Rewrite a policy into consistent form.
 
@@ -378,10 +377,15 @@ def normalize(p: LitePolicy, schema: FeatureSchema, *,
     forbids, removes from obligations every part the carved permissions do
     not cover, and drops the then-redundant prohibitions.
     """
-    # One table over the original rules' witness domain: the carved pieces
-    # only negate and conjoin those rules' conditions, so the domain stays
-    # region-complete for them.
     table = MatchTable(_domain_events(schema, p.all_rules(), max_events), schema)
+    return _normalize(table, p, max_rules)
+
+
+def _normalize(table: MatchTable, p: LitePolicy, max_rules: int) -> LitePolicy:
+    """``normalize`` on a table whose domain covers at least p's rules: the
+    carved pieces only negate and conjoin those rules' conditions, so the
+    domain stays region-complete for them."""
+    schema = table.schema
     prohibitions = ordered_rules(p.prohibitions)
 
     new_permissions = []
@@ -446,15 +450,34 @@ class ConflictVerdict:
     detail: str | None = None
 
 
-def _require_consistent(p: LitePolicy, schema, auto_normalize: bool,
-                        max_events: int, who: str) -> LitePolicy:
-    if is_consistent(p, schema, max_events=max_events):
-        return p
-    if auto_normalize:
-        return normalize(p, schema, max_events=max_events)
-    raise InconsistentPolicyError(
-        f"the {who} policy is not in consistent form; normalize it first "
-        f"(or pass auto_normalize=True)")
+def _compared(requester: LitePolicy, provider: LitePolicy, schema,
+              auto_normalize: bool, max_events: int):
+    """One match table over both policies' rules, and both policies in
+    consistent form: each side is checked, and normalized when allowed, on
+    that table.
+
+    The verdict is decided over the witness domain of the compared rules. A
+    normalized side has no prohibitions, so that domain lacks their
+    constants: when normalization changed a side, the table is rebuilt.
+    """
+    def table_over(p, q):
+        rules = tuple(p.all_rules()) + tuple(q.all_rules())
+        return MatchTable(_domain_events(schema, rules, max_events), schema)
+
+    table = table_over(requester, provider)
+    sides = []
+    for p, who in ((requester, "requester"), (provider, "provider")):
+        if not _consistent(table, p):
+            if not auto_normalize:
+                raise InconsistentPolicyError(
+                    f"the {who} policy is not in consistent form; normalize it "
+                    f"first (or pass auto_normalize=True)")
+            p = _normalize(table, p, DEFAULT_MAX_RULES)
+        sides.append(p)
+    if sides != [requester, provider]:
+        table = None   # release the first table before building the second
+        table = table_over(*sides)
+    return table, *sides
 
 
 def asymmetric_conflict(requester: LitePolicy, provider: LitePolicy,
@@ -466,14 +489,14 @@ def asymmetric_conflict(requester: LitePolicy, provider: LitePolicy,
     permissions must be covered by the provider's, and every provider
     obligation must contain some requester obligation.
     """
-    requester = _require_consistent(
-        requester, schema, auto_normalize, max_events, "requester")
-    provider = _require_consistent(
-        provider, schema, auto_normalize, max_events, "provider")
+    return _contained(*_compared(
+        requester, provider, schema, auto_normalize, max_events))
 
-    rules = tuple(requester.all_rules()) + tuple(provider.all_rules())
-    table = MatchTable(_domain_events(schema, rules, max_events), schema)
-    events = table.events
+
+def _contained(table: MatchTable, requester: LitePolicy,
+               provider: LitePolicy) -> ConflictVerdict:
+    """The asymmetric verdict for two consistent policies on one table."""
+    events, schema = table.events, table.schema
     obligation_hits = [table.rule(tau) for tau in requester.obligations]
 
     # A requester obligation no event can satisfy makes every world invalid
@@ -513,10 +536,8 @@ def symmetric_conflict(p: LitePolicy, p_prime: LitePolicy, schema: FeatureSchema
                        *, auto_normalize: bool = False,
                        max_events: int = DEFAULT_MAX_EVENTS) -> ConflictVerdict:
     """Conflict on any semantic difference: containment must hold both ways."""
-    forward = asymmetric_conflict(
-        p, p_prime, schema, auto_normalize=auto_normalize, max_events=max_events)
-    backward = asymmetric_conflict(
-        p_prime, p, schema, auto_normalize=auto_normalize, max_events=max_events)
+    table, p, p_prime = _compared(p, p_prime, schema, auto_normalize, max_events)
+    forward, backward = _contained(table, p, p_prime), _contained(table, p_prime, p)
     directions = []
     if forward.conflict:
         directions.append("requester-to-provider")
@@ -552,24 +573,32 @@ def brute_force_containment(p: Policy, p_prime: Policy, schema: FeatureSchema,
     return _brute_force_lite(p, p_prime, schema, max_events, max_world_size)
 
 
+def _admits(p: LitePolicy, e: Event, schema) -> bool:
+    """Some permission and no prohibition of ``p`` matches the event."""
+    return (any(match_unchecked(r, e, schema) for r in p.permissions)
+            and not any(match_unchecked(r, e, schema) for r in p.prohibitions))
+
+
+def _oracle_pool(rules, p: LitePolicy, schema, max_events,
+                 extra_timestamps=()) -> list:
+    """The probe events of the rules' witness domain that ``p`` admits.
+
+    A counterexample world is valid for p, so every event in it is
+    p-permitted and p-unforbidden; restricting the pool to those events
+    discards no candidate world.
+    """
+    return [e for e in _domain_events(schema, rules, max_events, extra_timestamps)
+            if _admits(p, e, schema)]
+
+
 def _brute_force_lite(p: LitePolicy, p_prime: LitePolicy, schema,
                       max_events, max_world_size) -> bool:
     rules = tuple(p.all_rules()) + tuple(p_prime.all_rules())
-    events = list(_domain_events(schema, rules, max_events))
+    pool = _oracle_pool(rules, p, schema, max_events)
     bound = (len(p.obligations) + 1) if max_world_size is None else max_world_size
 
-    # Per-event facts. A counterexample world is valid for p, so every event
-    # in it is p-permitted and p-unforbidden; restricting the pool to those
-    # events discards no candidate world.
-    def any_match(rules_, e):
-        return any(match_unchecked(r, e, schema) for r in rules_)
-
-    pool = [e for e in events
-            if any_match(p.permissions, e) and not any_match(p.prohibitions, e)]
     o_masks = [_mask(rule, pool, schema) for rule in ordered_rules(p.obligations)]
-    bad_for_p_prime = [
-        not any_match(p_prime.permissions, e) or any_match(p_prime.prohibitions, e)
-        for e in pool]
+    bad_for_p_prime = [not _admits(p_prime, e, schema) for e in pool]
     o_prime_masks = [_mask(rule, pool, schema)
                      for rule in ordered_rules(p_prime.obligations)]
 
@@ -615,14 +644,7 @@ def _brute_force_full(p: Policy, p_prime: Policy, schema,
             if sc.feature == TIMESTAMP_FEATURE and sc.value.kind is ValueKind.TIMESTAMP:
                 extra.update((sc.value.raw - 1, sc.value.raw + 1))
 
-    events = list(_domain_events(schema, rules, max_events, extra_timestamps=extra))
-
-    def any_match(rules_, e):
-        return any(match_unchecked(r, e, schema) for r in rules_)
-
-    pool = [e for e in events
-            if any_match(p_full.lite.permissions, e)
-            and not any_match(p_full.lite.prohibitions, e)]
+    pool = _oracle_pool(rules, p_full.lite, schema, max_events, extra)
     if max_world_size is None:
         bound = (len(p_full.lite.obligations) + len(p_full.duty_pairs)
                  + len(p_full.duty_consequence_triples) + len(p_full.remedy_pairs)

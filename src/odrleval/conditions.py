@@ -27,13 +27,6 @@ from .model import (
 _ORDERABLE = (ValueKind.TIMESTAMP, ValueKind.NUMBER, ValueKind.TEXT)
 
 
-def _as_member_set(v: Value) -> frozenset:
-    """Constant sets pass through; scalar constants lift to singletons."""
-    if v.kind is ValueKind.IDENTIFIER_SET:
-        return v.raw
-    return frozenset({v.raw})
-
-
 def _compare_scalar(op: Operator, left: Value, right: Value) -> bool:
     """Two-valued scalar comparison; kind mismatches are errors, hence false.
 
@@ -90,17 +83,16 @@ def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
         classes = _class_set(c, e, s)
         if classes is None:
             return False
-        return classes >= _as_member_set(c.value)
+        return classes >= c.members
 
     if c.op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF):
         if ev.kind is not ValueKind.IDENTIFIER_SET:
             return False
-        members = _as_member_set(c.value)
         if c.op is Operator.HAS_PART:
-            return ev.raw >= members
+            return ev.raw >= c.members
         if c.op is Operator.IS_PART_OF:
-            return ev.raw <= members
-        return ev.raw == members
+            return ev.raw <= c.members
+        return ev.raw == c.members
 
     if c.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
         # Membership over identifier atoms; a set-valued or non-atom event

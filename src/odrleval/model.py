@@ -253,9 +253,6 @@ class FeatureSchema:
     def gamma(self, i: int) -> Gamma:
         return self.declaration(i).gamma
 
-    def datatype(self, i: int) -> Datatype:
-        return self.declaration(i).datatype
-
     def by_name(self, name: str) -> FeatureDecl:
         for decl in self.features:
             if decl.name == name:
@@ -443,10 +440,6 @@ class Operator(str, Enum):
 
 SCALAR_OPERATORS = frozenset(
     {Operator.EQ, Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ, Operator.NEQ})
-SET_OPERATORS = frozenset(
-    {Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF,
-     Operator.IS_ANY_OF, Operator.IS_NONE_OF})
-ORDER_OPERATORS = frozenset({Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ})
 
 _OPERATOR_SYMBOL = {
     Operator.EQ: "=", Operator.GT: ">", Operator.GTEQ: ">=",
@@ -484,6 +477,17 @@ class SimpleCondition(Condition):
         elif self.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
             raise ModelInvariantError(
                 f"{self.op.value} requires a set-valued constant")
+        elif self.op not in SCALAR_OPERATORS and not isinstance(self.value.raw, str):
+            raise ModelInvariantError(
+                f"{self.op.value} takes a set or string constant, "
+                f"not a {self.value.kind.value}")
+
+    @property
+    def members(self) -> frozenset:
+        """The members a set or class operator tests: a set constant's own,
+        or a scalar (string) constant lifted to a singleton."""
+        v = self.value
+        return v.raw if v.kind is ValueKind.IDENTIFIER_SET else frozenset({v.raw})
 
     def render(self, schema: FeatureSchema | None = None) -> str:
         name = schema.declaration(self.feature).name if schema else f"f{self.feature}"

@@ -42,12 +42,12 @@ from .model import (
     Operator,
     Or,
     Policy,
+    RULE_WIDE,
     SimpleCondition,
     Value,
     World,
     Xor,
     ordered_rules,
-    validate_schema,
 )
 
 SCHEMA_FORMAT = "feature-schema/1"
@@ -133,7 +133,7 @@ def parse_schema_document(doc: dict) -> FeatureSchema:
             classes=None if classes is None else frozenset(classes),
             class_feature=class_feature,
         ))
-    return validate_schema(FeatureSchema(tuple(decls)))
+    return FeatureSchema(tuple(decls))
 
 
 def schema_to_document(schema: FeatureSchema) -> dict:
@@ -761,7 +761,6 @@ def _odrl_rule(obj, schema, policy_parties, label: str, where: str,
             conditions += _odrl_component(
                 raw, schema, ComponentTag.PARTY, role, f"{where}.{key}")
     for i, con in enumerate(_as_list(obj.get("constraint"))):
-        from .model import RULE_WIDE
         conditions.append(_odrl_constraint(
             con, schema, RULE_WIDE, f"{where}.constraint[{i}]"))
     return EventRule(frozenset(conditions), label=obj.get("uid", label))
@@ -896,9 +895,7 @@ def parse_policy_document(doc: dict, schema: FeatureSchema, *,
             f"policy documents carry either format={POLICY_FORMAT!r} or an "
             f"ODRL @context")
     if enforce_well_formed:
-        rules = (policy.all_rules() if isinstance(policy, FullPolicy)
-                 else policy.all_rules())
-        for rule in ordered_rules(rules):
+        for rule in ordered_rules(policy.all_rules()):
             report = check_well_formed(rule, schema)
             if not report.ok:
                 raise DocumentError(

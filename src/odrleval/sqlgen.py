@@ -27,6 +27,7 @@ from .model import (
     EventRule,
     FeatureSchema,
     FullPolicy,
+    KIND_FOR_DATATYPE,
     LitePolicy,
     Not,
     Operator,
@@ -53,18 +54,6 @@ _SQL_TYPE = {
     # presence marker; the members live in the side table
     Datatype.IDENTIFIER_SET: "VARCHAR(16)",
 }
-
-LITE_CLAUSES = (
-    "permissions-violation",
-    "prohibitions-violation",
-    "obligations-violation",
-)
-FULL_CLAUSES = LITE_CLAUSES + (
-    "permission-duties-violation",
-    "permission-duties-with-consequences-violation",
-    "prohibition-remedies-violation",
-    "obligation-consequences-violation",
-)
 
 
 @dataclass(frozen=True)
@@ -138,6 +127,9 @@ def _quote(s: str) -> str:
 
 def _literal(v: Value) -> str:
     if v.kind in (ValueKind.TIMESTAMP, ValueKind.NUMBER):
+        # sqlite stores larger integers as lossy reals, so comparisons drift
+        if isinstance(v.raw, int) and not -2**63 <= v.raw < 2**63:
+            raise QueryEmitError(f"integer {v.raw} lies outside the 64-bit range")
         return repr(v.raw)
     if v.kind in (ValueKind.TEXT, ValueKind.IDENTIFIER):
         return _quote(v.raw)
@@ -192,7 +184,7 @@ class _Compiler:
         if c.op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF):
             if decl.datatype is not Datatype.IDENTIFIER_SET:
                 return _FALSE
-            members = sorted(self._members(c.value))
+            members = sorted(c.members)
             feature_lit = _quote(self.cols[c.feature])
             terms = [present]
             if c.op in (Operator.HAS_PART, Operator.IS_ALL_OF):
@@ -204,7 +196,7 @@ class _Compiler:
         if c.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
             if decl.datatype not in (Datatype.IDENTIFIER, Datatype.STRING):
                 return _FALSE
-            members = sorted(self._members(c.value))
+            members = sorted(c.members)
             if not members:
                 return _FALSE if c.op is Operator.IS_ANY_OF else f"({present})"
             inlist = ", ".join(_quote(m) for m in members)
@@ -213,14 +205,7 @@ class _Compiler:
             return f"({present} AND {test})"
 
         # scalar comparison; statically incomparable kinds are plain false
-        expected = {
-            Datatype.TIMESTAMP: ValueKind.TIMESTAMP,
-            Datatype.NUMERIC: ValueKind.NUMBER,
-            Datatype.STRING: ValueKind.TEXT,
-            Datatype.IDENTIFIER: ValueKind.IDENTIFIER,
-            Datatype.IDENTIFIER_SET: None,
-        }[decl.datatype]
-        if expected is None or c.value.kind is not expected:
+        if c.value.kind is not KIND_FOR_DATATYPE[decl.datatype]:
             return _FALSE
         if c.op in (Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ) \
                 and decl.datatype is Datatype.IDENTIFIER:
@@ -229,7 +214,7 @@ class _Compiler:
 
     def _is_a(self, c: SimpleCondition, col: str, present: str, alias: str) -> str:
         decl = self.schema.declaration(c.feature)
-        members = self._members(c.value)
+        members = c.members
         if decl.class_feature is not None:
             companion = self.schema.declaration(decl.class_feature)
             ccol = f"{alias}.{_q(self.cols[companion.index])}"
@@ -242,12 +227,6 @@ class _Compiler:
             verdict = _TRUE if decl.classes >= members else _FALSE
             return f"({present} AND {verdict})"
         return _FALSE
-
-    @staticmethod
-    def _members(v: Value) -> frozenset:
-        if v.kind is ValueKind.IDENTIFIER_SET:
-            return v.raw
-        return frozenset({v.raw}) if isinstance(v.raw, str) else frozenset()
 
     @staticmethod
     def _member_exists(alias: str, feature_lit: str, member: str) -> str:

@@ -157,18 +157,23 @@ def tagged_events():
 _CONSTANTS = (Value.timestamp(3), Value.number(250), Value.text("Bob"),
               Value.identifier("Bob"), Value.identifier("Book"),
               Value.identifier("Staff"), Value.identifier("Media"))
-_SCALAR_CONSTANT_OPS = tuple(
-    op for op in Operator if op not in (Operator.IS_ANY_OF, Operator.IS_NONE_OF))
+# set and class operators take a scalar constant only when it is a string
+_STRING_CONSTANTS = tuple(v for v in _CONSTANTS if isinstance(v.raw, str))
+_SCALAR_OPS = tuple(op for op in Operator if op in SCALAR_OPERATORS)
 _SET_CONSTANT_OPS = tuple(op for op in Operator if op not in SCALAR_OPERATORS)
+_STRING_CONSTANT_OPS = tuple(
+    op for op in _SET_CONSTANT_OPS if op not in (Operator.IS_ANY_OF, Operator.IS_NONE_OF))
 
 
 def _any_simple_conditions():
-    """Every operator on every tagged feature, with constants of every kind,
-    so most triples compare mismatched kinds."""
+    """Every operator on every tagged feature, with constants of every kind
+    the operator admits, so most triples compare mismatched kinds."""
     features = st.integers(0, TAGS)
     return st.one_of(
-        st.builds(SimpleCondition, features, st.sampled_from(_SCALAR_CONSTANT_OPS),
+        st.builds(SimpleCondition, features, st.sampled_from(_SCALAR_OPS),
                   st.sampled_from(_CONSTANTS)),
+        st.builds(SimpleCondition, features, st.sampled_from(_STRING_CONSTANT_OPS),
+                  st.sampled_from(_STRING_CONSTANTS)),
         st.builds(SimpleCondition, features, st.sampled_from(_SET_CONSTANT_OPS),
                   _class_sets()),
     )

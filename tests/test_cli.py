@@ -200,6 +200,28 @@ def test_emit_query_writes_files(capsys, tmp_path):
         "obligations-violation"}
 
 
+def test_emit_query_rejects_integer_outside_64_bits(capsys, tmp_path):
+    policy = {
+        "format": "policy/1",
+        "kind": "lite",
+        "prohibitions": [
+            {"label": "f", "conditions": [
+                {"feature": "Action", "op": "eq", "value": "Read"},
+                {"feature": "Actor", "op": "eq", "value": "Bob"},
+                {"feature": "Asset", "op": "eq", "value": "Book"},
+                {"feature": "Book.Pages", "op": "gt", "value": 2 ** 70}]},
+        ],
+    }
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(policy))
+    code, out, err = run(capsys, "emit-query", "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"),
+                         "--out-dir", str(tmp_path / "queries"))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "QueryEmitError"
+
+
 def test_check_reports_well_formedness(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--policy", str(DEMO / "policy.json"),
                        "--schema", str(DEMO / "schema.json"))

@@ -11,10 +11,13 @@ import strategies
 from generators import (
     pairwise_set_contains,
     random_consistent_policy,
+    random_raw_policy,
     representative_worlds,
 )
 from odrleval import (
     And,
+    DomainTooLargeError,
+    EngineError,
     EventRule,
     InconsistentPolicyError,
     LitePolicy,
@@ -22,6 +25,7 @@ from odrleval import (
     Not,
     Operator,
     Value,
+    WitnessDomain,
     asymmetric_conflict,
     brute_force_containment,
     is_consistent,
@@ -539,3 +543,93 @@ def test_symmetric_verdict_agrees_with_oracle(schema):
         equivalent = (brute_force_containment(p, q, schema)
                       and brute_force_containment(q, p, schema))
         assert verdict.conflict == (not equivalent)
+
+
+# -- one witness domain per comparison -----------------------------------------
+
+def count_domain_builds(monkeypatch) -> list:
+    builds = []
+    for_rules = WitnessDomain.for_rules
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return for_rules(*args, **kwargs)
+
+    monkeypatch.setattr(WitnessDomain, "for_rules", staticmethod(counting))
+    return builds
+
+
+def test_one_domain_per_comparison(schema, monkeypatch):
+    builds = count_domain_builds(monkeypatch)
+    requester = LitePolicy.of({alice_print_picture(label="req")})
+    provider = LitePolicy.of(
+        {alice_print_picture(num(RESOLUTION, Operator.LTEQ, 400), label="prov")})
+    assert asymmetric_conflict(requester, provider, schema).conflict
+    assert len(builds) == 1
+    assert symmetric_conflict(requester, provider, schema).failing_directions == (
+        "requester-to-provider",)
+    assert len(builds) == 2
+
+
+def test_normalized_comparison_builds_a_second_domain(schema, monkeypatch):
+    builds = count_domain_builds(monkeypatch)
+    r = alice_print_picture()
+    inconsistent = LitePolicy.of({r}, {r}, ())
+    assert not asymmetric_conflict(inconsistent, LitePolicy.of({r}), schema,
+                                   auto_normalize=True).conflict
+    assert len(builds) == 2
+    verdict = symmetric_conflict(inconsistent, LitePolicy.of({r}), schema,
+                                 auto_normalize=True)
+    assert verdict.failing_directions == ("provider-to-requester",)
+    assert len(builds) == 4
+
+
+def test_symmetric_verdict_combines_both_directions(schema):
+    rng = Random(4242)
+    for k in range(40):
+        p = random_raw_policy(rng) if k % 2 else random_consistent_policy(rng)
+        q = random_raw_policy(rng) if k % 3 else random_consistent_policy(rng)
+        for auto in (False, True):
+            try:
+                forward = asymmetric_conflict(p, q, schema, auto_normalize=auto)
+            except EngineError as exc:
+                with pytest.raises(type(exc)) as err:
+                    symmetric_conflict(p, q, schema, auto_normalize=auto)
+                assert str(err.value) == str(exc)
+                continue
+            backward = asymmetric_conflict(q, p, schema, auto_normalize=auto)
+            verdict = symmetric_conflict(p, q, schema, auto_normalize=auto)
+            directions = tuple(
+                d for d, v in (("requester-to-provider", forward),
+                               ("provider-to-requester", backward)) if v.conflict)
+            assert verdict.conflict == bool(directions)
+            assert verdict.failing_directions == directions
+            if directions:
+                first = forward if forward.conflict else backward
+                assert (verdict.cause, verdict.witness, verdict.detail) == (
+                    first.cause, first.witness, first.detail)
+
+
+def test_domain_cap_precedes_inconsistency(schema):
+    # A comparison builds one domain over both sides' original rules before
+    # it checks either side, so an oversized union domain is reported even
+    # when a side is also inconsistent, cannot be normalized, or would have
+    # fit the cap once normalized. Each side's domain alone fits the cap.
+    unpermitted = LitePolicy.of((), (), {bob_read_book(label="o")})
+    inexpressible = LitePolicy.of({EventRule.of(eq(ACTION, "Read"), label="any")},
+                                  {bob_read_book(label="not-bob")}, ())
+    provider = LitePolicy.of(
+        {alice_print_picture(num(RESOLUTION, Operator.LTEQ, 400), label="prov")})
+    for compare in (asymmetric_conflict, symmetric_conflict):
+        for requester, auto in ((unpermitted, False), (unpermitted, True),
+                                (inexpressible, True)):
+            with pytest.raises(DomainTooLargeError):
+                compare(requester, provider, schema, auto_normalize=auto,
+                        max_events=100)
+        # each fault alone keeps its own error
+        with pytest.raises(InconsistentPolicyError):
+            compare(unpermitted, provider, schema)
+        with pytest.raises(NormalizationError):
+            compare(inexpressible, provider, schema, auto_normalize=True)
+        with pytest.raises(DomainTooLargeError):
+            compare(provider, provider, schema, max_events=40)

@@ -151,6 +151,19 @@ def test_condition_operator_arity():
         SimpleCondition(2, Operator.EQ, NULL)
 
 
+@pytest.mark.parametrize(
+    "op", [Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF, Operator.IS_A])
+def test_set_and_class_operators_take_only_string_scalars(op):
+    # A number constant here lifted to {5} in the evaluator but to the empty
+    # set in the emitted SQL and the witness domain, so the paths disagreed.
+    for constant in (Value.number(5), Value.timestamp(3)):
+        with pytest.raises(ModelInvariantError):
+            SimpleCondition(2, op, constant)
+    for constant in (Value.identifier("a"), Value.text("a")):
+        assert SimpleCondition(2, op, constant).members == frozenset({"a"})
+    assert SimpleCondition(2, op, Value.identifier_set({"a", "b"})).members == {"a", "b"}
+
+
 def test_rule_label_is_metadata_only():
     a = EventRule.of(eq(1, "Print"), label="one")
     b = EventRule.of(eq(1, "Print"), label="two")

@@ -336,3 +336,29 @@ def test_full_clause_differential(schema):
         sql_flag = bool(results["obligation-consequences-violation"])
         mem_flag = bool(report.by_clause(Clause.OBLIGATION_CONSEQUENCES))
         assert sql_flag == mem_flag, (policy, world.ordered())
+
+
+def bob_reads_pages(op, pages) -> EventRule:
+    return EventRule.of(eq(ACTION, "Read"), eq(ACTOR, "Bob"), eq(ASSET, "Book"),
+                        num(PAGES, op, pages))
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 63 + 1, 2 ** 70, -2 ** 63 - 1])
+def test_integers_outside_64_bits_are_rejected(schema, big):
+    # sqlite holds such integers as reals: Pages = 2**63 + 1 was not above
+    # 2**63 there, nor 2**70 above 2**70 - 1, while the evaluator flagged both.
+    policy = LitePolicy.of((), {bob_reads_pages(Operator.GT, big)}, ())
+    with pytest.raises(QueryEmitError):
+        emit_violation_queries(policy, schema)
+    world = World.of((make_event(1, "Read", "Bob", "Book", pages=big),))
+    with pytest.raises(QueryEmitError):
+        world_insert_sql(world, schema)
+
+
+def test_integers_at_the_64_bit_bounds_agree_with_evaluator(schema):
+    top, bottom = 2 ** 63 - 1, -2 ** 63
+    policy = LitePolicy.of(
+        {bob_reads_pages(Operator.LT, top)}, {bob_reads_pages(Operator.GT, bottom)}, ())
+    world = World.of(tuple(make_event(t, "Read", "Bob", "Book", pages=x)
+                           for t, x in enumerate((top, top - 1, bottom, bottom + 1))))
+    agree_with_evaluator(policy, world, schema)
