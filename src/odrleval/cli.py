@@ -15,9 +15,9 @@ from pathlib import Path
 
 from .comparison import asymmetric_conflict, normalize, symmetric_conflict
 from .errors import DocumentError, EngineError
-from .evaluation import evaluate_full, evaluate_lite
+from .evaluation import evaluate_full
 from .matching import check_well_formed
-from .model import FullPolicy, LitePolicy, ordered_rules
+from .model import FullPolicy, as_full, ordered_rules
 from .policyio import (
     parse_policy_document,
     parse_schema_document,
@@ -65,12 +65,7 @@ def _cmd_evaluate(args) -> int:
     if args.vocab:
         vocabulary = parse_vocabulary_document(_read_json(args.vocab))
         policy = saturate(policy, vocabulary, schema)
-    if isinstance(policy, LitePolicy) and args.full:
-        policy = FullPolicy.of(policy)
-    if isinstance(policy, FullPolicy):
-        report = evaluate_full(policy, world, schema)
-    else:
-        report = evaluate_lite(policy, world, schema)
+    report = evaluate_full(as_full(policy), world, schema)
     _emit(report_to_document(report, schema))
     return 0 if report.valid else 1
 
@@ -161,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--vocab", help="action vocabulary for saturation")
     evaluate.add_argument(
         "--full", action="store_true",
-        help="evaluate duty/remedy/consequence clauses even for a lite document")
+        help="accepted for compatibility and has no effect: a lite policy is "
+             "evaluated as the full policy with no pairings")
     evaluate.set_defaults(func=_cmd_evaluate)
 
     compare = sub.add_parser("compare", help="compare two policies for conflicts")

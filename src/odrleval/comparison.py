@@ -50,12 +50,14 @@ from .model import (
     LitePolicy,
     NULL,
     Operator,
+    PAIRINGS,
     Policy,
     SimpleCondition,
     TIMESTAMP_FEATURE,
     Value,
     ValueKind,
     World,
+    as_full,
     deadline_conditions,
     ordered_rules,
     simple_conditions_of,
@@ -630,8 +632,7 @@ def _mask(rule, pool, schema) -> int:
 
 def _brute_force_full(p: Policy, p_prime: Policy, schema,
                       max_events, max_world_size) -> bool:
-    p_full = p if isinstance(p, FullPolicy) else FullPolicy.of(p)
-    q_full = p_prime if isinstance(p_prime, FullPolicy) else FullPolicy.of(p_prime)
+    p_full, q_full = as_full(p), as_full(p_prime)
     rules = tuple(p_full.all_rules()) + tuple(q_full.all_rules())
 
     # Deadline constants +/- 1 give the enumeration enough timestamp
@@ -645,12 +646,10 @@ def _brute_force_full(p: Policy, p_prime: Policy, schema,
                 extra.update((sc.value.raw - 1, sc.value.raw + 1))
 
     pool = _oracle_pool(rules, p_full.lite, schema, max_events, extra)
-    if max_world_size is None:
-        bound = (len(p_full.lite.obligations) + len(p_full.duty_pairs)
-                 + len(p_full.duty_consequence_triples) + len(p_full.remedy_pairs)
-                 + len(p_full.obligation_consequence_pairs) + 1)
-    else:
-        bound = max_world_size
+    bound = max_world_size
+    if bound is None:
+        bound = len(p_full.lite.obligations) + 1 + sum(
+            len(getattr(p_full, pairing.field)) for pairing in PAIRINGS)
 
     for size in range(0, min(bound, len(pool)) + 1):
         for combo in itertools.combinations(pool, size):

@@ -32,6 +32,7 @@ from .model import (
     LitePolicy,
     Policy,
     World,
+    as_full,
     conform_world,
     deadline_conditions,
     ordered_rules,
@@ -88,52 +89,38 @@ class ViolationReport:
         return tuple(f for f in self.findings if f.clause is clause)
 
 
-def _prepare(policy_rules, world: World, schema: FeatureSchema) -> MatchTable:
-    """Validate the inputs; the match table over the timestamp-ordered world."""
-    conform_world(world, schema)
-    for rule in policy_rules:
-        require_well_formed(rule, schema)
-    return MatchTable(world.ordered(), schema)
+def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
+    """Evaluate the three lite clauses and report every finding: the full
+    evaluation of the policy with no pairings."""
+    return evaluate_full(FullPolicy.of(p), w, s)
 
 
-def _lite_findings(p: LitePolicy, table: MatchTable, s: FeatureSchema) -> list:
-    findings = []
+def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
+    """Evaluate the lite clauses plus duties, remedies and consequences."""
+    conform_world(w, s)
+    for rule in p.all_rules():
+        require_well_formed(rule, s)
+    table = MatchTable(w.ordered(), s)
     events = table.events
+    findings = []
 
     # Permissions: an event no permission matches is a violation; with an
     # empty P the conjunction of negated matches is vacuously true.
-    for j in bit_positions(table.all & ~table.any(p.permissions)):
+    for j in bit_positions(table.all & ~table.any(p.lite.permissions)):
         findings.append(Finding(Clause.PERMISSIONS, witnesses=(events[j],)))
 
     # Prohibitions: any (event, prohibition) match is a violation.
-    for tau in ordered_rules(p.prohibitions):
+    for tau in ordered_rules(p.lite.prohibitions):
         for j in bit_positions(table.rule(tau)):
             findings.append(Finding(
                 Clause.PROHIBITIONS, rules=(tau.display_label(s),), witnesses=(events[j],)))
 
     # Obligations: an obligation with no matching event is a violation.
-    for tau in ordered_rules(p.obligations):
+    for tau in ordered_rules(p.lite.obligations):
         if not table.rule(tau):
             findings.append(Finding(
                 Clause.OBLIGATIONS, rules=(tau.display_label(s),),
                 missing=f"no event matches obligation {tau.display_label(s)}"))
-
-    return findings
-
-
-def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
-    """Evaluate the three lite clauses and report every finding."""
-    table = _prepare(p.all_rules(), w, s)
-    findings = _lite_findings(p, table, s)
-    findings.sort(key=Finding.sort_key)
-    return ViolationReport(not findings, tuple(findings))
-
-
-def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
-    """Evaluate the lite clauses plus duties, remedies and consequences."""
-    table = _prepare(p.all_rules(), w, s)
-    findings = _lite_findings(p.lite, table, s)
-    events = table.events
 
     # Events are in timestamp order, so the lowest and highest bits of a
     # match set carry its earliest and latest timestamps.
@@ -211,6 +198,4 @@ def _labelled(tuples, s: FeatureSchema):
 
 def is_valid(p: Policy, w: World, s: FeatureSchema) -> bool:
     """A world is valid with respect to a policy when it does not violate it."""
-    if isinstance(p, FullPolicy):
-        return evaluate_full(p, w, s).valid
-    return evaluate_lite(p, w, s).valid
+    return evaluate_full(as_full(p), w, s).valid

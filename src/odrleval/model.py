@@ -21,7 +21,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     ModelInvariantError,
@@ -240,7 +240,7 @@ class FeatureSchema:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
-        _check_schema(self)
+        validate_schema(self)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -251,6 +251,8 @@ class FeatureSchema:
         return self.features[i]
 
     def gamma(self, i: int) -> Gamma:
+        """The component designator of feature ``i``: the index of the core
+        component it refines, its own index for core components, or RULE_WIDE."""
         return self.declaration(i).gamma
 
     def by_name(self, name: str) -> FeatureDecl:
@@ -260,20 +262,22 @@ class FeatureSchema:
         raise KeyError(name)
 
 
-def _check_schema(schema: FeatureSchema) -> None:
+def validate_schema(schema: FeatureSchema) -> FeatureSchema:
+    """Return ``schema`` if every schema invariant holds, else raise SchemaError.
+
+    Idempotent: schemas are re-checked cheaply and never rewritten.
+    """
     feats = schema.features
     if not feats:
         raise SchemaError("wrong-datetime-slot", 0, "schema declares no features")
-    seen = set()
     for pos, decl in enumerate(feats):
         if not isinstance(decl, FeatureDecl):
             raise SchemaError("bad-gamma-target", pos, "feature declarations expected")
-        if decl.index in seen or decl.index != pos:
+        if decl.index != pos:
             raise SchemaError(
                 "duplicate-index", decl.index,
                 f"feature indices must be unique and contiguous; "
                 f"found index {decl.index} at position {pos}")
-        seen.add(decl.index)
     dt = feats[TIMESTAMP_FEATURE]
     if dt.datatype is not Datatype.TIMESTAMP or dt.component is not ComponentTag.RULE:
         raise SchemaError(
@@ -310,21 +314,10 @@ def _check_schema(schema: FeatureSchema) -> None:
                     "bad-gamma-target", decl.index,
                     f"feature {decl.index} declares class feature {cf}, which is not "
                     f"a declared identifier-set feature")
-
-
-def validate_schema(schema: FeatureSchema) -> FeatureSchema:
-    """Return ``schema`` if every schema invariant holds, else raise SchemaError.
-
-    Idempotent: schemas are re-checked cheaply and never rewritten.
-    """
-    _check_schema(schema)
     return schema
 
 
-def feature_component(schema: FeatureSchema, i: int) -> Gamma:
-    """The component designator of feature ``i``: the index of the core
-    component it refines, its own index for core components, or RULE_WIDE."""
-    return schema.gamma(i)
+feature_component = FeatureSchema.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +660,39 @@ def deadline_conditions(rule: EventRule) -> tuple:
     return tuple(sorted(out, key=lambda c: c.value.raw))
 
 
+class Pairing(NamedTuple):
+    """One of the four pairings a full policy adds to a lite policy: the
+    ``FullPolicy`` field holding its tuples, the canonical document key, and
+    the document key of each member, in tuple order.
+
+    Every member is a permission, drawn from P, except the first member of a
+    pairing with a ``lead``: the remedied prohibition of FR or the deadline
+    obligation of OC. A lead is written inline rather than by label, must
+    stay out of the lite rule set ``lead`` names, and gets the label
+    ``<fallback>-N`` in a document when it has none.
+    """
+
+    field: str
+    key: str
+    members: tuple
+    lead: str | None = None
+    fallback: str | None = None
+
+    def is_lead(self, position: int) -> bool:
+        return position == 0 and self.lead is not None
+
+
+PAIRINGS = (
+    Pairing("duty_pairs", "dutyPairs", ("permission", "duty")),
+    Pairing("duty_consequence_triples", "dutyConsequenceTriples",
+            ("permission", "duty", "consequence")),
+    Pairing("remedy_pairs", "remedyPairs", ("prohibition", "remedy"),
+            "prohibitions", "remedied"),
+    Pairing("obligation_consequence_pairs", "obligationConsequencePairs",
+            ("obligation", "consequence"), "obligations", "deadline"),
+)
+
+
 @dataclass(frozen=True)
 class FullPolicy:
     """A lite policy extended with duties, remedies and consequences.
@@ -675,6 +701,7 @@ class FullPolicy:
     ``duty_consequence_triples`` (DPC): permission, duty, consequence.
     ``remedy_pairs`` (FR): prohibition -> remedy that must follow a breach.
     ``obligation_consequence_pairs`` (OC): deadline obligation -> consequence.
+    A lite policy is the full policy with no pairings.
     """
 
     lite: LitePolicy
@@ -684,33 +711,24 @@ class FullPolicy:
     obligation_consequence_pairs: frozenset = frozenset()
 
     def __post_init__(self):
-        for name in ("duty_pairs", "duty_consequence_triples", "remedy_pairs",
-                     "obligation_consequence_pairs"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        P = self.lite.permissions
-        for pair in self.duty_pairs:
-            tau, duty = pair
-            if tau not in P or duty not in P:
-                raise PolicyInvariantError(
-                    "duty pairs must draw both the permission and the duty from P")
-        for triple in self.duty_consequence_triples:
-            if any(r not in P for r in triple):
-                raise PolicyInvariantError(
-                    "duty-consequence triples must draw all three rules from P")
-        for tau, remedy in self.remedy_pairs:
-            if tau in self.lite.prohibitions:
-                raise PolicyInvariantError(
-                    "a remedied prohibition must not also sit in F, or the remedy "
-                    "could never restore validity")
-            if remedy not in P:
-                raise PolicyInvariantError("remedies must be permissions")
-        for tau, consequence in self.obligation_consequence_pairs:
-            if tau in self.lite.obligations:
-                raise PolicyInvariantError(
-                    "a consequence-bearing obligation must not also sit in O, or "
-                    "missing the deadline would trigger a violation regardless")
-            if consequence not in P:
-                raise PolicyInvariantError("obligation consequences must be permissions")
+        for pairing in PAIRINGS:
+            tuples = frozenset(getattr(self, pairing.field))
+            object.__setattr__(self, pairing.field, tuples)
+            for t in tuples:
+                if len(t) != len(pairing.members):
+                    raise PolicyInvariantError(
+                        f"{pairing.key}: every entry is a ({', '.join(pairing.members)}) tuple")
+                for i, (member, rule) in enumerate(zip(pairing.members, t)):
+                    if pairing.is_lead(i):
+                        if rule in getattr(self.lite, pairing.lead):
+                            raise PolicyInvariantError(
+                                f"{pairing.key}: no {member} may also sit in "
+                                f"{pairing.lead}, or its {pairing.members[1]} "
+                                f"could never restore validity")
+                    elif rule not in self.lite.permissions:
+                        raise PolicyInvariantError(
+                            f"{pairing.key}: every {member} must be a permission")
+        for tau, _ in self.obligation_consequence_pairs:
             if not deadline_conditions(tau):
                 raise PolicyInvariantError(
                     "a consequence-bearing obligation needs a <Datetime, <=, t> deadline")
@@ -724,16 +742,14 @@ class FullPolicy:
                           frozenset(obligation_consequence_pairs))
 
     def all_rules(self) -> frozenset:
-        out = set(self.lite.all_rules())
-        for tau, duty in self.duty_pairs:
-            out |= {tau, duty}
-        for triple in self.duty_consequence_triples:
-            out |= set(triple)
-        for tau, remedy in self.remedy_pairs:
-            out |= {tau, remedy}
-        for tau, consequence in self.obligation_consequence_pairs:
-            out |= {tau, consequence}
-        return frozenset(out)
+        return self.lite.all_rules().union(
+            rule for pairing in PAIRINGS
+            for t in getattr(self, pairing.field) for rule in t)
+
+
+def as_full(policy: Policy) -> FullPolicy:
+    """The policy itself if it is full, else the full policy with no pairings."""
+    return policy if isinstance(policy, FullPolicy) else FullPolicy.of(policy)
 
 
 Policy = Union[LitePolicy, FullPolicy]

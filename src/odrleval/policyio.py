@@ -41,6 +41,7 @@ from .model import (
     NULL,
     Operator,
     Or,
+    PAIRINGS,
     Policy,
     RULE_WIDE,
     SimpleCondition,
@@ -101,28 +102,34 @@ def parse_schema_document(doc: dict) -> FeatureSchema:
             ("index", "name", "datatype", "component", "refines", "partyRole",
              "classes", "classFeature"),
             where)
-        dt = _DATATYPES.get(obj.get("datatype"))
-        comp = _COMPONENTS.get(obj.get("component"))
+        dt, comp = obj.get("datatype"), obj.get("component")
+        dt = _DATATYPES.get(dt) if isinstance(dt, str) else None
+        comp = _COMPONENTS.get(comp) if isinstance(comp, str) else None
         if dt is None or comp is None:
             raise DocumentError(
                 "bad-format",
                 f"{where}: unknown datatype or component", location=where)
         refines = obj.get("refines")
         if refines is not None:
-            if refines not in names:
+            if not isinstance(refines, str) or refines not in names:
                 raise DocumentError(
                     "bad-format", f"{where}: refines unknown feature {refines!r}",
                     location=where)
             refines = names[refines]
         class_feature = obj.get("classFeature")
         if class_feature is not None:
-            if class_feature not in names:
+            if not isinstance(class_feature, str) or class_feature not in names:
                 raise DocumentError(
                     "bad-format",
                     f"{where}: classFeature names unknown feature {class_feature!r}",
                     location=where)
             class_feature = names[class_feature]
         classes = obj.get("classes")
+        if classes is not None and not (
+                isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+            raise DocumentError(
+                "bad-format", f"{where}: classes must be a list of class names",
+                location=where)
         decls.append(FeatureDecl(
             index=obj.get("index", pos),
             name=obj["name"],
@@ -467,8 +474,7 @@ def rule_to_json(rule: EventRule, schema: FeatureSchema, label: str) -> dict:
 
 def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
     allowed = ("format", "kind", "permissions", "prohibitions", "obligations",
-               "dutyPairs", "dutyConsequenceTriples", "remedyPairs",
-               "obligationConsequencePairs")
+               *(pairing.key for pairing in PAIRINGS))
     _require_keys(doc, allowed, "policy document")
     kind = doc.get("kind", "lite")
     if kind not in ("lite", "full"):
@@ -482,16 +488,13 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
                 for i, o in enumerate(raw)]
 
     permissions = rules("permissions")
-    prohibitions = rules("prohibitions")
-    obligations = rules("obligations")
-    lite = LitePolicy.of(permissions, prohibitions, obligations)
+    lite = LitePolicy.of(permissions, rules("prohibitions"), rules("obligations"))
 
     if kind == "lite":
-        for key in ("dutyPairs", "dutyConsequenceTriples", "remedyPairs",
-                    "obligationConsequencePairs"):
-            if doc.get(key):
+        for pairing in PAIRINGS:
+            if doc.get(pairing.key):
                 raise DocumentError(
-                    "bad-format", f"lite policies cannot carry {key}")
+                    "bad-format", f"lite policies cannot carry {pairing.key}")
         return lite
 
     by_label: dict = {}
@@ -499,44 +502,41 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
         if r.label is not None:
             by_label.setdefault(r.label, []).append(r)
 
-    def permission_ref(label, where: str) -> EventRule:
-        hits = by_label.get(label, [])
+    def member(pairing, j: int, raw, where: str) -> EventRule:
+        """A lead is an inline rule; any other member names one permission."""
+        if pairing.is_lead(j):
+            return _parse_canonical_rule(raw, schema, where)
+        if isinstance(raw, (list, dict)):
+            raise DocumentError(
+                "bad-format",
+                f"{where}: {pairing.members[j]} must name a permission by its label",
+                location=where)
+        hits = by_label.get(raw, [])
         if len(hits) != 1:
             raise DocumentError(
                 "dangling-duty",
-                f"{where}: {label!r} must name exactly one permission",
+                f"{where}: {raw!r} must name exactly one permission",
                 location=where)
         return hits[0]
 
-    duty_pairs = []
-    for i, obj in enumerate(doc.get("dutyPairs", [])):
-        where = f"dutyPairs[{i}]"
-        _require_keys(obj, ("permission", "duty"), where)
-        duty_pairs.append((permission_ref(obj.get("permission"), where),
-                           permission_ref(obj.get("duty"), where)))
-    triples = []
-    for i, obj in enumerate(doc.get("dutyConsequenceTriples", [])):
-        where = f"dutyConsequenceTriples[{i}]"
-        _require_keys(obj, ("permission", "duty", "consequence"), where)
-        triples.append((permission_ref(obj.get("permission"), where),
-                        permission_ref(obj.get("duty"), where),
-                        permission_ref(obj.get("consequence"), where)))
-    remedies = []
-    for i, obj in enumerate(doc.get("remedyPairs", [])):
-        where = f"remedyPairs[{i}]"
-        _require_keys(obj, ("prohibition", "remedy"), where)
-        remedies.append((
-            _parse_canonical_rule(obj.get("prohibition"), schema, where),
-            permission_ref(obj.get("remedy"), where)))
-    oc_pairs = []
-    for i, obj in enumerate(doc.get("obligationConsequencePairs", [])):
-        where = f"obligationConsequencePairs[{i}]"
-        _require_keys(obj, ("obligation", "consequence"), where)
-        oc_pairs.append((
-            _parse_canonical_rule(obj.get("obligation"), schema, where),
-            permission_ref(obj.get("consequence"), where)))
-
-    return FullPolicy.of(lite, duty_pairs, triples, remedies, oc_pairs)
+    pairs = {}
+    for pairing in PAIRINGS:
+        entries = doc.get(pairing.key, [])
+        if not isinstance(entries, list):
+            raise DocumentError(
+                "bad-format", f"{pairing.key} must be a list of objects",
+                location=pairing.key)
+        pairs[pairing.field] = []
+        for i, obj in enumerate(entries):
+            where = f"{pairing.key}[{i}]"
+            if not isinstance(obj, dict):
+                raise DocumentError(
+                    "bad-format", f"{where}: entry must be an object", location=where)
+            _require_keys(obj, pairing.members, where)
+            pairs[pairing.field].append(tuple(
+                member(pairing, j, obj.get(m), where)
+                for j, m in enumerate(pairing.members)))
+    return FullPolicy(lite, **pairs)
 
 
 def _assign_labels(rules, prefix: str, taken: set) -> dict:
@@ -572,30 +572,17 @@ def policy_to_document(policy: Policy, schema: FeatureSchema) -> dict:
                         for r in ordered_rules(lite.obligations)],
     }
     if isinstance(policy, FullPolicy):
-        doc["dutyPairs"] = [
-            {"permission": p_labels[tau], "duty": p_labels[duty]}
-            for tau, duty in sorted(
-                policy.duty_pairs, key=lambda pr: (p_labels[pr[0]], p_labels[pr[1]]))]
-        doc["dutyConsequenceTriples"] = [
-            {"permission": p_labels[a], "duty": p_labels[b],
-             "consequence": p_labels[c]}
-            for a, b, c in sorted(
-                policy.duty_consequence_triples,
-                key=lambda tr: tuple(p_labels[r] for r in tr))]
-        doc["remedyPairs"] = [
-            {"prohibition": rule_to_json(tau, schema,
-                                         tau.label or f"remedied-{i + 1}"),
-             "remedy": p_labels[remedy]}
-            for i, (tau, remedy) in enumerate(sorted(
-                policy.remedy_pairs,
-                key=lambda pr: (pr[0].render(), p_labels[pr[1]])))]
-        doc["obligationConsequencePairs"] = [
-            {"obligation": rule_to_json(tau, schema,
-                                        tau.label or f"deadline-{i + 1}"),
-             "consequence": p_labels[consequence]}
-            for i, (tau, consequence) in enumerate(sorted(
-                policy.obligation_consequence_pairs,
-                key=lambda pr: (pr[0].render(), p_labels[pr[1]])))]
+        # Members are written by label, a lead inline; entries sort by the
+        # labels, and a lead by its rendering.
+        for pairing in PAIRINGS:
+            entries = sorted(getattr(policy, pairing.field), key=lambda t: tuple(
+                r.render() if pairing.is_lead(j) else p_labels[r]
+                for j, r in enumerate(t)))
+            doc[pairing.key] = [
+                {m: rule_to_json(r, schema, r.label or f"{pairing.fallback}-{i + 1}")
+                 if pairing.is_lead(j) else p_labels[r]
+                 for j, (m, r) in enumerate(zip(pairing.members, t))}
+                for i, t in enumerate(entries)]
     return doc
 
 
@@ -780,13 +767,8 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
         raise DocumentError("bad-format", f"unsupported policy @type {ptype!r}")
     policy_parties = {k: doc[k] for k in ("assignee", "assigner") if k in doc}
 
-    permissions: list = []
-    duty_pairs = []
-    triples = []
-    remedies = []
-    oc_pairs = []
-    prohibitions = []
-    obligations = []
+    lite = {"permissions": [], "prohibitions": [], "obligations": []}
+    pairs = {pairing.field: [] for pairing in PAIRINGS}
 
     def ingest_sub(owner_where, sub_obj, idx, kind: str, extra_keys=()):
         label = sub_obj.get("uid") if isinstance(sub_obj, dict) else None
@@ -798,7 +780,7 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
         where = f"permission[{i}]"
         rule = _odrl_rule(obj, schema, policy_parties, f"permission-{i + 1}",
                           where, extra_keys=("duty",))
-        permissions.append(rule)
+        lite["permissions"].append(rule)
         for j, duty_obj in enumerate(_as_list(obj.get("duty"))):
             duty = ingest_sub(where, duty_obj, j, "duty",
                               extra_keys=("consequence",))
@@ -808,67 +790,41 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
                 for k, con_obj in enumerate(consequences):
                     consequence = ingest_sub(f"{where}.duty[{j}]",
                                              con_obj, k, "consequence")
-                    triples.append((rule, duty, consequence))
+                    pairs["duty_consequence_triples"].append((rule, duty, consequence))
             else:
-                duty_pairs.append((rule, duty))
+                pairs["duty_pairs"].append((rule, duty))
 
-    for i, obj in enumerate(_as_list(doc.get("prohibition"))):
-        where = f"prohibition[{i}]"
-        rule = _odrl_rule(obj, schema, policy_parties, f"prohibition-{i + 1}",
-                          where, extra_keys=("remedy",))
-        remedy_objs = _as_list(obj.get("remedy"))
-        if remedy_objs:
-            for j, rem_obj in enumerate(remedy_objs):
-                remedy = ingest_sub(where, rem_obj, j, "remedy")
-                remedies.append((rule, remedy))
-        else:
-            prohibitions.append(rule)
+    # A prohibition with remedies, or an obligation with consequences, is
+    # the lead of its pairings and sits outside the lite rule sets.
+    for pairing in PAIRINGS:
+        if pairing.lead is None:
+            continue
+        kind, sub = pairing.members
+        for i, obj in enumerate(_as_list(doc.get(kind))):
+            where = f"{kind}[{i}]"
+            rule = _odrl_rule(obj, schema, policy_parties, f"{kind}-{i + 1}",
+                              where, extra_keys=(sub,))
+            sub_objs = _as_list(obj.get(sub))
+            for j, sub_obj in enumerate(sub_objs):
+                pairs[pairing.field].append((rule, ingest_sub(where, sub_obj, j, sub)))
+            if not sub_objs:
+                lite[pairing.lead].append(rule)
 
-    for i, obj in enumerate(_as_list(doc.get("obligation"))):
-        where = f"obligation[{i}]"
-        rule = _odrl_rule(obj, schema, policy_parties, f"obligation-{i + 1}",
-                          where, extra_keys=("consequence",))
-        con_objs = _as_list(obj.get("consequence"))
-        if con_objs:
-            for j, con_obj in enumerate(con_objs):
-                consequence = ingest_sub(where, con_obj, j, "consequence")
-                oc_pairs.append((rule, consequence))
-        else:
-            obligations.append(rule)
+    permission_set = frozenset(lite["permissions"])
+    for pairing in PAIRINGS:
+        for t in pairs[pairing.field]:
+            for j, (m, r) in enumerate(zip(pairing.members, t)):
+                if not pairing.is_lead(j) and r not in permission_set:
+                    raise DocumentError(
+                        "dangling-duty",
+                        f"{m} {r.display_label(schema)} of {pairing.members[0]} "
+                        f"{t[0].display_label(schema)} is not itself listed as a "
+                        f"permission; duties, remedies and consequences must "
+                        f"explicitly be permitted")
 
-    permission_set = frozenset(permissions)
-    for tau, duty in duty_pairs:
-        if duty not in permission_set:
-            raise DocumentError(
-                "dangling-duty",
-                f"duty {duty.display_label(schema)} of permission "
-                f"{tau.display_label(schema)} is not itself listed as a "
-                f"permission; duties must explicitly be permitted")
-    for tau, duty, consequence in triples:
-        for r, what in ((duty, "duty"), (consequence, "consequence")):
-            if r not in permission_set:
-                raise DocumentError(
-                    "dangling-duty",
-                    f"{what} {r.display_label(schema)} of permission "
-                    f"{tau.display_label(schema)} is not itself listed as a "
-                    f"permission")
-    for tau, remedy in remedies:
-        if remedy not in permission_set:
-            raise DocumentError(
-                "dangling-duty",
-                f"remedy {remedy.display_label(schema)} is not itself listed "
-                f"as a permission")
-    for tau, consequence in oc_pairs:
-        if consequence not in permission_set:
-            raise DocumentError(
-                "dangling-duty",
-                f"consequence {consequence.display_label(schema)} is not "
-                f"itself listed as a permission")
-
-    lite = LitePolicy.of(permissions, prohibitions, obligations)
-    if duty_pairs or triples or remedies or oc_pairs:
-        return FullPolicy.of(lite, duty_pairs, triples, remedies, oc_pairs)
-    return lite
+    if any(pairs.values()):
+        return FullPolicy(LitePolicy.of(**lite), **pairs)
+    return LitePolicy.of(**lite)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ from .model import (
     FullPolicy,
     LitePolicy,
     Operator,
+    PAIRINGS,
     Policy,
     SimpleCondition,
     Value,
+    as_full,
 )
 
 
@@ -45,50 +47,28 @@ def _specialize(rule: EventRule, action: str) -> EventRule:
     return EventRule(frozenset(conditions), label=label)
 
 
-def _saturate_permissions(permissions, vocabulary: ActionVocabulary, schema: FeatureSchema):
-    """permission -> its specialized copies (original included)."""
-    expansion = {}
-    for tau in permissions:
-        require_well_formed(tau, schema)
-        action = _action_equality(tau).value.raw
-        copies = [tau]
-        for sub in sorted(vocabulary.descendants_of(action) - {action}):
-            copies.append(_specialize(tau, sub))
-        expansion[tau] = copies
-    return expansion
-
-
 def saturate(policy: Policy, vocabulary: ActionVocabulary,
              schema: FeatureSchema) -> Policy:
     """Add every permission implied by the vocabulary; a fixpoint, since the
     closure is already reflexive and transitive."""
-    if isinstance(policy, FullPolicy):
-        expansion = _saturate_permissions(policy.lite.permissions, vocabulary, schema)
-        lite = LitePolicy.of(
-            permissions=(c for copies in expansion.values() for c in copies),
-            prohibitions=policy.lite.prohibitions,
-            obligations=policy.lite.obligations,
-        )
-        duty_pairs = {
-            (copy, duty)
-            for tau, duty in policy.duty_pairs
-            for copy in expansion[tau]
-        }
-        triples = {
-            (copy, duty, consequence)
-            for tau, duty, consequence in policy.duty_consequence_triples
-            for copy in expansion[tau]
-        }
-        return FullPolicy.of(
-            lite,
-            duty_pairs=duty_pairs,
-            duty_consequence_triples=triples,
-            remedy_pairs=policy.remedy_pairs,
-            obligation_consequence_pairs=policy.obligation_consequence_pairs,
-        )
-    expansion = _saturate_permissions(policy.permissions, vocabulary, schema)
-    return LitePolicy.of(
+    full = as_full(policy)
+    expansion = {}    # permission -> its specialized copies (original included)
+    for tau in full.lite.permissions:
+        require_well_formed(tau, schema)
+        action = _action_equality(tau).value.raw
+        expansion[tau] = [tau] + [
+            _specialize(tau, sub)
+            for sub in sorted(vocabulary.descendants_of(action) - {action})]
+    lite = LitePolicy.of(
         permissions=(c for copies in expansion.values() for c in copies),
-        prohibitions=policy.prohibitions,
-        obligations=policy.obligations,
+        prohibitions=full.lite.prohibitions,
+        obligations=full.lite.obligations,
     )
+    pairs = {}
+    for pairing in PAIRINGS:
+        tuples = getattr(full, pairing.field)
+        if pairing.lead is None:
+            # A tuple led by a permission follows it: one copy per specialization.
+            tuples = {(copy, *t[1:]) for t in tuples for copy in expansion[t[0]]}
+        pairs[pairing.field] = tuples
+    return FullPolicy(lite, **pairs) if isinstance(policy, FullPolicy) else lite

@@ -262,6 +262,24 @@ def test_parse_error_exits_2_with_error_object(capsys, tmp_path):
     assert "message" in error
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("classes", 5, "bad-format"),
+    ("refines", ["Action"], "bad-format"),
+    ("classFeature", ["Tags"], "bad-format"),
+    ("index", [4], "SchemaError"),
+])
+def test_malformed_schema_exits_2_with_error_object(capsys, tmp_path, key, value, kind):
+    doc = json.loads((DEMO / "schema.json").read_text())
+    doc["features"][4][key] = value
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--policy", str(DEMO / "policy.json"),
+                         "--schema", str(schema))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == kind
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
 def test_non_finite_world_value_exits_2_with_error_object(capsys, tmp_path, cell):
     world = tmp_path / "world.csv"

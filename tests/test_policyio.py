@@ -21,7 +21,7 @@ from odrleval.policyio import (
     world_to_text,
 )
 from odrleval.model import Datatype
-from conftest import ACTOR, RESOLUTION, eq, make_f1, make_o1, make_p1, ts
+from conftest import ACTION, ACTOR, RESOLUTION, eq, make_f1, make_o1, make_p1, ts
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -36,6 +36,23 @@ def test_schema_document_round_trip(schema):
 def test_demo_schema_file_matches_fixture(schema):
     doc = json.loads((DEMO / "schema.json").read_text())
     assert parse_schema_document(doc) == schema
+
+
+@pytest.mark.parametrize("key, value", [
+    ("classes", 5),
+    ("classes", "Book"),
+    ("refines", ["Action"]),
+    ("classFeature", ["Tags"]),
+    ("datatype", ["numeric"]),
+    ("component", ["refines"]),
+])
+def test_schema_field_of_wrong_type_rejected(schema, key, value):
+    doc = schema_to_document(schema)
+    doc["features"][4][key] = value
+    with pytest.raises(DocumentError) as err:
+        parse_schema_document(doc)
+    assert err.value.kind == "bad-format"
+    assert "Print.Resolution" in str(err.value)
 
 
 def test_schema_unknown_field_rejected(schema):
@@ -174,17 +191,38 @@ def test_canonical_full_policy_round_trip(schema):
     from odrleval import EventRule
     perm = make_p1()
     duty = make_o1()
+    consequence = EventRule.of(eq(ACTION, "Pay"), eq(ACTOR, "Bob"), label="fine")
     deadline_obligation = EventRule(
         make_o1().conditions | {ts(Operator.LTEQ, 9)}, label="dl")
     full = FullPolicy.of(
-        LitePolicy.of({perm, duty}),
+        LitePolicy.of({perm, duty, consequence}),
         duty_pairs={(perm, duty)},
+        duty_consequence_triples={(perm, duty, consequence)},
         remedy_pairs={(make_f1(), perm)},
         obligation_consequence_pairs={(deadline_obligation, duty)},
     )
     doc = policy_to_document(full, schema)
     parsed = parse_policy_document(doc, schema)
     assert parsed == full
+
+
+@pytest.mark.parametrize("duty_pairs, location", [
+    (5, "dutyPairs"),
+    ([5], "dutyPairs[0]"),
+    ([{"permission": ["p"], "duty": "p"}], "dutyPairs[0]"),
+])
+def test_canonical_pairing_of_wrong_type_rejected(schema, duty_pairs, location):
+    doc = {
+        "format": "policy/1",
+        "kind": "full",
+        "permissions": [{"label": "p", "conditions": [
+            {"feature": "Action", "op": "eq", "value": "Print"}]}],
+        "dutyPairs": duty_pairs,
+    }
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert err.value.kind == "bad-format"
+    assert err.value.location == location
 
 
 def test_canonical_rejects_unknown_condition_shape(schema):
@@ -290,14 +328,23 @@ def test_odrl_duty_maps_to_duty_pair(schema):
     assert eq(ACTOR, "Bob") in duty.conditions
 
 
-def test_odrl_dangling_duty_rejected(schema):
+_UNLISTED = {"assignee": "Bob", "action": "Read", "target": "Book"}
+_LISTED = {"assignee": "Alice", "action": "Print", "target": "Book"}
+
+
+@pytest.mark.parametrize("elements", [
+    {"permission": [dict(_LISTED, duty=[_UNLISTED])]},
+    {"permission": [dict(_LISTED, duty=[dict(_LISTED, consequence=[_UNLISTED])])]},
+    {"permission": [_LISTED], "prohibition": [dict(_LISTED, remedy=[_UNLISTED])]},
+    {"permission": [_LISTED], "obligation": [dict(
+        _LISTED, consequence=[_UNLISTED], constraint=[
+            {"leftOperand": "Datetime", "operator": "lteq", "rightOperand": 3}])]},
+], ids=["duty", "duty-consequence", "remedy", "obligation-consequence"])
+def test_odrl_dangling_duty_rejected(schema, elements):
     doc = {
         "@context": "http://www.w3.org/ns/odrl.jsonld",
         "@type": "Set",
-        "permission": [
-            {"assignee": "Alice", "action": "Print", "target": "Book",
-             "duty": [{"assignee": "Bob", "action": "Read", "target": "Book"}]},
-        ],
+        **elements,
     }
     with pytest.raises(DocumentError) as err:
         parse_policy_document(doc, schema)

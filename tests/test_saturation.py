@@ -81,8 +81,10 @@ def test_prohibitions_and_obligations_untouched(schema):
 def test_duty_pairs_follow_their_permission(schema):
     perm = EventRule.of(eq(ACTION, "Play"), eq(ACTOR, "Alice"), label="play")
     duty = EventRule.of(eq(ACTION, "Pay"), eq(ACTOR, "Alice"), label="pay")
-    policy = FullPolicy.of(LitePolicy.of({perm, duty}),
-                           duty_pairs={(perm, duty)})
+    fine = EventRule.of(eq(ACTION, "Pay"), eq(ACTOR, "Bob"), label="fine")
+    policy = FullPolicy.of(LitePolicy.of({perm, duty, fine}),
+                           duty_pairs={(perm, duty)},
+                           duty_consequence_triples={(perm, duty, fine)})
     vocab = ActionVocabulary.of([("Display", "Play")])
     out = saturate(policy, vocab, schema)
     display_copy = EventRule.of(eq(ACTION, "Display"), eq(ACTOR, "Alice"))
@@ -90,6 +92,10 @@ def test_duty_pairs_follow_their_permission(schema):
     assert (perm, duty) in out.duty_pairs
     # the duty position itself is not specialized
     assert all(pair[1] == duty for pair in out.duty_pairs)
+    # a triple is copied once per specialized permission, duty and
+    # consequence unchanged
+    assert out.duty_consequence_triples == {
+        (perm, duty, fine), (display_copy, duty, fine)}
 
 
 def test_saturated_display_event_becomes_permitted(schema):
