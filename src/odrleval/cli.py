@@ -28,7 +28,7 @@ from .policyio import (
     verdict_to_document,
 )
 from .saturation import saturate
-from .sqlgen import emit_full_violation_queries, emit_violation_queries
+from .sqlgen import emit_violation_queries
 
 
 def _read_json(path: str):
@@ -36,7 +36,7 @@ def _read_json(path: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DocumentError("io-error", f"no such file: {path}", location=path)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(
             "bad-format", f"{path} is not valid JSON: {exc}", location=path)
 
@@ -104,10 +104,7 @@ def _cmd_saturate(args) -> int:
 
 def _cmd_emit_query(args) -> int:
     schema, policy = _load_common(args)
-    if isinstance(policy, FullPolicy):
-        emitted = emit_full_violation_queries(policy, schema)
-    else:
-        emitted = emit_violation_queries(policy, schema)
+    emitted = emit_violation_queries(policy, schema)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "ddl.sql").write_text(emitted.ddl, encoding="utf-8")

@@ -36,6 +36,7 @@ from .model import (
     conform_world,
     deadline_conditions,
     ordered_rules,
+    ordered_tuples,
 )
 
 
@@ -190,10 +191,9 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
 
 def _labelled(tuples, s: FeatureSchema):
-    """Deterministically ordered (label tuple, rule tuple) pairs."""
-    out = [(tuple(r.display_label(s) for r in t), t) for t in tuples]
-    out.sort(key=lambda lp: (lp[0], tuple(r.render() for r in lp[1])))
-    return out
+    """(label tuple, rule tuple) pairs; the final ``Finding.sort_key`` sort
+    fixes report order."""
+    return [(tuple(r.display_label(s) for r in t), t) for t in ordered_tuples(tuples)]
 
 
 def is_valid(p: Policy, w: World, s: FeatureSchema) -> bool:

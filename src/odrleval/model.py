@@ -17,7 +17,7 @@ value.
 from __future__ import annotations
 
 import functools
-import math
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,7 +82,7 @@ class Value:
             (k is ValueKind.NULL and r is None)
             or (k is ValueKind.TIMESTAMP and isinstance(r, int) and not isinstance(r, bool))
             or (k is ValueKind.NUMBER and isinstance(r, (int, float)) and not isinstance(r, bool)
-                and (not isinstance(r, float) or math.isfinite(r)))
+                and abs(r) <= sys.float_info.max)
             or (k in (ValueKind.TEXT, ValueKind.IDENTIFIER) and isinstance(r, str))
             or (k is ValueKind.IDENTIFIER_SET and isinstance(r, frozenset)
                 and all(isinstance(m, str) for m in r))
@@ -125,8 +125,10 @@ class Value:
         if self.kind is ValueKind.NULL:
             return (self.kind.value, ())
         if self.kind is ValueKind.NUMBER:
-            # present ints and floats in numeric order, ints first on ties
-            return (self.kind.value, (float(self.raw), isinstance(self.raw, float)))
+            # present ints and floats in numeric order, ints first on ties;
+            # the raw number keeps distinct ints past 2**53 apart
+            return (self.kind.value,
+                    (float(self.raw), isinstance(self.raw, float), self.raw))
         return (self.kind.value, (self.raw,))
 
     def render(self) -> str:
@@ -594,6 +596,8 @@ class EventRule:
         for c in self.conditions:
             if not isinstance(c, Condition):
                 raise ModelInvariantError(f"{c!r} is not a condition")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ModelInvariantError(f"rule label {self.label!r} is not a string")
 
     @staticmethod
     def of(*conditions: Condition, label: str | None = None) -> "EventRule":
@@ -619,6 +623,11 @@ class EventRule:
 def ordered_rules(rules: Iterable[EventRule]) -> tuple:
     """Deterministic rule ordering: by label when present, else by rendering."""
     return tuple(sorted(rules, key=lambda r: (r.display_label(), r.render())))
+
+
+def ordered_tuples(tuples: Iterable[tuple]) -> tuple:
+    """Deterministic ordering of pairing tuples, by their rules' renderings."""
+    return tuple(sorted(tuples, key=lambda t: tuple(r.render() for r in t)))
 
 
 @dataclass(frozen=True)
@@ -780,23 +789,28 @@ class ActionVocabulary:
         return ActionVocabulary(frozenset(tuple(e) for e in edges))
 
     def _check_acyclic(self) -> None:
+        """Depth-first search with an explicit stack, so that a long
+        ``includedIn`` chain cannot exhaust the recursion limit."""
         parents = self._parents()
-        state: dict = {}
-
-        def visit(node: str, trail: tuple) -> None:
-            if state.get(node) == "done":
-                return
-            if state.get(node) == "busy":
-                raise VocabularyError(
-                    f"cyclic-vocabulary: action {node!r} is included in itself "
-                    f"via {' -> '.join(trail + (node,))}")
-            state[node] = "busy"
-            for p in parents.get(node, ()):
-                visit(p, trail + (node,))
-            state[node] = "done"
-
-        for child, _ in self.included_in:
-            visit(child, ())
+        done: set = set()
+        for root, _ in self.included_in:
+            if root in done:
+                continue
+            path, on_path, pending = [root], {root}, [iter(parents.get(root, ()))]
+            while pending:
+                node = next(pending[-1], None)
+                if node is None:
+                    pending.pop()
+                    on_path.discard(path[-1])
+                    done.add(path.pop())
+                elif node in on_path:
+                    raise VocabularyError(
+                        f"cyclic-vocabulary: action {node!r} is included in itself "
+                        f"via {' -> '.join(path + [node])}")
+                elif node not in done:
+                    path.append(node)
+                    on_path.add(node)
+                    pending.append(iter(parents.get(node, ())))
 
     def _parents(self) -> dict:
         out: dict = {}

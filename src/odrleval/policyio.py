@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import sys
 from datetime import datetime, timezone
 
 from .errors import DocumentError
@@ -44,6 +44,7 @@ from .model import (
     PAIRINGS,
     Policy,
     RULE_WIDE,
+    SCALAR_OPERATORS,
     SimpleCondition,
     Value,
     World,
@@ -59,6 +60,11 @@ VERDICT_FORMAT = "conflict-verdict/1"
 
 ODRL_CONTEXT = "http://www.w3.org/ns/odrl.jsonld"
 _ODRL_IRI_PREFIX = "http://www.w3.org/ns/odrl/2/"
+
+# The deepest nesting of JSON arrays and objects a policy document may use.
+# It bounds every condition tree, which parsing, evaluation, comparison and
+# SQL emission walk recursively, well inside Python's default recursion limit.
+MAX_NESTING_DEPTH = 100
 
 
 def _require_keys(obj: dict, allowed, where: str) -> None:
@@ -244,7 +250,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
                     raise DocumentError(
                         "unparsable-value", f"{where}: {raw!r} is not numeric",
                         location=where) from exc
-        if isinstance(raw, int) or isinstance(raw, float) and math.isfinite(raw):
+        if isinstance(raw, (int, float)) and abs(raw) <= sys.float_info.max:
             return Value.number(raw)
     if datatype is Datatype.STRING and isinstance(raw, str):
         return Value.text(raw)
@@ -373,6 +379,25 @@ def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
         f"{where}: {name!r} is not a declared feature", location=where)
 
 
+def _name(raw, where: str) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise DocumentError(
+        "bad-format", f"{where}: expected an identifier, got {raw!r}",
+        location=where)
+
+
+def _set_operand(raw, op: Operator, member, where: str) -> Value:
+    """The operand of a set or class operator, each member read by
+    ``member``: a list is a set constant, and a single member an identifier,
+    lifted to a singleton set for isAnyOf and isNoneOf."""
+    if isinstance(raw, list):
+        return Value.identifier_set([member(m, where) for m in raw])
+    if op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
+        return Value.identifier_set([member(raw, where)])
+    return Value.identifier(member(raw, where))
+
+
 def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
     if not isinstance(obj, dict):
         raise DocumentError("bad-format", f"{where}: condition must be an object")
@@ -380,22 +405,10 @@ def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
         _require_keys(obj, ("feature", "op", "value"), where)
         decl = _feature(schema, obj.get("feature"), where)
         op = _operator(obj.get("op"), where)
-        if op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF,
-                  Operator.IS_ANY_OF, Operator.IS_NONE_OF, Operator.IS_A):
-            raw = obj.get("value")
-            if isinstance(raw, list):
-                value = Value.identifier_set(raw)
-            elif op is Operator.IS_A and isinstance(raw, str):
-                value = Value.identifier(raw)
-            elif isinstance(raw, str) and op in (Operator.HAS_PART,
-                                                 Operator.IS_PART_OF,
-                                                 Operator.IS_ALL_OF):
-                value = Value.identifier(raw)
-            else:
-                value = Value.identifier_set(
-                    raw if isinstance(raw, list) else [raw])
-        else:
+        if op in SCALAR_OPERATORS:
             value = parse_value(obj.get("value"), decl.datatype, where)
+        else:
+            value = _set_operand(obj.get("value"), op, _name, where)
         return SimpleCondition(decl.index, op, value)
     if "and" in obj:
         _require_keys(obj, ("and",), where)
@@ -598,13 +611,10 @@ _ODRL_TYPES = ("Set", "Policy", "Agreement", "Offer", "Request", "Privacy")
 
 
 def _odrl_id(raw, where: str) -> str:
-    if isinstance(raw, str):
-        return raw
+    """A plain name or an ``{"@id": name}`` node."""
     if isinstance(raw, dict) and isinstance(raw.get("@id"), str):
         return raw["@id"]
-    raise DocumentError(
-        "bad-format", f"{where}: expected an identifier, got {raw!r}",
-        location=where)
+    return _name(raw, where)
 
 
 def _as_list(raw) -> list:
@@ -619,16 +629,8 @@ def _odrl_right_operand(raw, decl: FeatureDecl, op: Operator, where: str) -> Val
             raw = raw["@value"]
         elif "@id" in raw:
             raw = raw["@id"]
-    if op in (Operator.IS_A, Operator.HAS_PART, Operator.IS_PART_OF,
-              Operator.IS_ALL_OF, Operator.IS_ANY_OF, Operator.IS_NONE_OF):
-        if isinstance(raw, list):
-            return Value.identifier_set(
-                [_odrl_id(m, where) for m in raw])
-        if op is Operator.IS_A:
-            return Value.identifier(_odrl_id(raw, where))
-        if op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
-            return Value.identifier_set([_odrl_id(raw, where)])
-        return Value.identifier(_odrl_id(raw, where))
+    if op not in SCALAR_OPERATORS:
+        return _set_operand(raw, op, _odrl_id, where)
     if isinstance(raw, list):
         raise DocumentError(
             "unparsable-value",
@@ -750,7 +752,9 @@ def _odrl_rule(obj, schema, policy_parties, label: str, where: str,
     for i, con in enumerate(_as_list(obj.get("constraint"))):
         conditions.append(_odrl_constraint(
             con, schema, RULE_WIDE, f"{where}.constraint[{i}]"))
-    return EventRule(frozenset(conditions), label=obj.get("uid", label))
+    uid = obj.get("uid", label)
+    return EventRule(frozenset(conditions),
+                     label=None if uid is None else _odrl_id(uid, f"{where}.uid"))
 
 
 def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
@@ -771,10 +775,9 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
     pairs = {pairing.field: [] for pairing in PAIRINGS}
 
     def ingest_sub(owner_where, sub_obj, idx, kind: str, extra_keys=()):
-        label = sub_obj.get("uid") if isinstance(sub_obj, dict) else None
         sub_where = f"{owner_where}.{kind}[{idx}]"
-        return _odrl_rule(sub_obj, schema, policy_parties,
-                          label or sub_where, sub_where, extra_keys=extra_keys)
+        return _odrl_rule(sub_obj, schema, policy_parties, sub_where, sub_where,
+                          extra_keys=extra_keys)
 
     for i, obj in enumerate(_as_list(doc.get("permission"))):
         where = f"permission[{i}]"
@@ -841,6 +844,16 @@ def parse_policy_document(doc: dict, schema: FeatureSchema, *,
     """
     if not isinstance(doc, dict):
         raise DocumentError("bad-format", "policy documents must be JSON objects")
+    depth, level = 0, [doc]
+    while level:
+        depth += 1
+        level = [child for node in level
+                 for child in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(child, (dict, list))]
+    if depth > MAX_NESTING_DEPTH:
+        raise DocumentError(
+            "bad-format", f"policy document nests {depth} levels of arrays and "
+                          f"objects; at most {MAX_NESTING_DEPTH} are accepted")
     if doc.get("format") == POLICY_FORMAT:
         policy = _parse_canonical(doc, schema)
     elif "@context" in doc:

@@ -8,8 +8,8 @@ definitely false, never unknown, so negation in the permissions clause
 behaves exactly like the in-memory evaluator.
 
 One query is emitted per violation clause so a consumer can tell which
-clause fired; the obligations clause returns a single flag row instead of
-witness rows.
+clause fired; the two obligation clauses return a single flag row instead
+of witness rows.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import QueryEmitError
+from .evaluation import Clause
 from .matching import require_well_formed, strip_deadline_conditions
 from .model import (
     And,
@@ -28,18 +29,20 @@ from .model import (
     FeatureSchema,
     FullPolicy,
     KIND_FOR_DATATYPE,
-    LitePolicy,
     Not,
     Operator,
     Or,
+    Policy,
     SimpleCondition,
     TIMESTAMP_FEATURE,
     Value,
     ValueKind,
     World,
     Xor,
+    as_full,
     deadline_conditions,
     ordered_rules,
+    ordered_tuples,
 )
 
 MAIN_TABLE = "world_events"
@@ -63,15 +66,6 @@ class EmittedQuery:
     dialect: str
     ddl: str
     queries: tuple   # ((clause-name, sql), ...) in clause order
-
-    def query(self, clause: str) -> str:
-        for name, sql in self.queries:
-            if name == clause:
-                return sql
-        raise KeyError(clause)
-
-    def clauses(self) -> tuple:
-        return tuple(name for name, _ in self.queries)
 
 
 def sanitize_name(name: str) -> str:
@@ -253,109 +247,74 @@ def _disjoin(parts) -> str:
     return "(" + "\n   OR ".join(parts) + ")"
 
 
-def emit_violation_queries(p: LitePolicy, schema: FeatureSchema) -> EmittedQuery:
-    """The three lite violation clauses as standalone SELECT statements."""
+def emit_violation_queries(policy: Policy, schema: FeatureSchema) -> EmittedQuery:
+    """The violation clauses as standalone SELECT statements: the three lite
+    clauses, and for a ``FullPolicy`` also the duty / remedy / consequence
+    clauses, compiled as self-joins on the event table with timestamp
+    predicates."""
+    p = as_full(policy)
     for r in p.all_rules():
         require_well_formed(r, schema)
     comp = _Compiler(schema)
-    w = "w"
+    ts = _q(comp.cols[TIMESTAMP_FEATURE])
 
-    permissions = [comp.rule(t, w) for t in ordered_rules(p.permissions)]
-    if permissions:
-        perm_where = " AND ".join(f"(NOT {m})" for m in permissions)
-    else:
-        perm_where = _TRUE
-    perm_sql = f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {perm_where};"
+    def exists(alias: str, rule: EventRule, time_test: str) -> str:
+        return (f"EXISTS (SELECT 1 FROM {MAIN_TABLE} {alias} WHERE "
+                f"{comp.rule(rule, alias)} AND {time_test})")
 
-    prohibitions = [comp.rule(t, w) for t in ordered_rules(p.prohibitions)]
-    proh_sql = f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {_disjoin(prohibitions)};"
+    def rows(terms) -> str:
+        return f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {_disjoin(terms)};"
 
-    missing = [
-        f"NOT EXISTS (SELECT 1 FROM {MAIN_TABLE} w WHERE {comp.rule(t, w)})"
-        for t in ordered_rules(p.obligations)
-    ]
-    obl_sql = (f"SELECT 1 AS violated FROM (SELECT 1 AS x) AS one\n"
-               f"WHERE {_disjoin(missing)};")
+    def flag(terms) -> str:
+        return (f"SELECT 1 AS violated FROM (SELECT 1 AS x) AS one\n"
+                f"WHERE {_disjoin(terms)};")
+
+    permissions = [comp.rule(t, "w") for t in ordered_rules(p.lite.permissions)]
+    perm_where = " AND ".join(f"(NOT {m})" for m in permissions) or _TRUE
+    queries = {
+        Clause.PERMISSIONS: f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {perm_where};",
+        Clause.PROHIBITIONS: rows(
+            comp.rule(t, "w") for t in ordered_rules(p.lite.prohibitions)),
+        Clause.OBLIGATIONS: flag(
+            f"NOT EXISTS (SELECT 1 FROM {MAIN_TABLE} w WHERE {comp.rule(t, 'w')})"
+            for t in ordered_rules(p.lite.obligations)),
+    }
+    if isinstance(policy, FullPolicy):
+        queries[Clause.PERMISSION_DUTIES] = rows(
+            f"({comp.rule(tau, 'w')} AND NOT "
+            f"{exists('w2', duty, f'w2.{ts} <= w.{ts}')})"
+            for tau, duty in ordered_tuples(p.duty_pairs))
+        queries[Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES] = rows(
+            f"({comp.rule(tau, 'w')}"
+            f" AND NOT {exists('w2', duty, f'w2.{ts} <= w.{ts}')}"
+            f" AND ((NOT {exists('w3', duty, f'w3.{ts} >= w.{ts}')})"
+            f" OR (NOT {exists('w4', consequence, f'w4.{ts} >= w.{ts}')})))"
+            for tau, duty, consequence in ordered_tuples(p.duty_consequence_triples))
+        queries[Clause.PROHIBITION_REMEDIES] = rows(
+            f"({comp.rule(tau, 'w')} AND NOT "
+            f"{exists('w2', remedy, f'w2.{ts} >= w.{ts}')})"
+            for tau, remedy in ordered_tuples(p.remedy_pairs))
+        queries[Clause.OBLIGATION_CONSEQUENCES] = flag(
+            f"((NOT EXISTS (SELECT 1 FROM {MAIN_TABLE} w WHERE "
+            f"{comp.rule(tau, 'w')})) AND (NOT EXISTS (SELECT 1 FROM "
+            f"{MAIN_TABLE} w2, {MAIN_TABLE} w3 WHERE "
+            f"{comp.rule(strip_deadline_conditions(tau), 'w2')} AND "
+            f"{comp.rule(consequence, 'w3')} AND w3.{ts} >= {deadline.value.raw})))"
+            for tau, consequence in ordered_tuples(p.obligation_consequence_pairs)
+            for deadline in deadline_conditions(tau))
 
     return EmittedQuery(
         dialect="ansi-sql",
         ddl=create_table_sql(schema),
-        queries=(
-            ("permissions-violation", perm_sql),
-            ("prohibitions-violation", proh_sql),
-            ("obligations-violation", obl_sql),
-        ),
+        queries=tuple((f"{clause.value}-violation", sql)
+                      for clause, sql in queries.items()),
     )
 
 
-def emit_full_violation_queries(p: FullPolicy, schema: FeatureSchema) -> EmittedQuery:
-    """Lite clauses plus the duty / remedy / consequence clauses, compiled as
-    self-joins on the event table with timestamp predicates."""
-    for r in p.all_rules():
-        require_well_formed(r, schema)
-    lite = emit_violation_queries(p.lite, schema)
-    comp = _Compiler(schema)
-    ts = _q(comp.cols[TIMESTAMP_FEATURE])
-
-    def exists(alias: str, rule: EventRule, time_test: str | None) -> str:
-        cond = comp.rule(rule, alias)
-        if time_test:
-            cond = f"{cond} AND {time_test}"
-        return f"EXISTS (SELECT 1 FROM {MAIN_TABLE} {alias} WHERE {cond})"
-
-    duty_terms = []
-    for tau, duty in sorted(p.duty_pairs,
-                            key=lambda pr: tuple(r.render() for r in pr)):
-        duty_terms.append(
-            f"({comp.rule(tau, 'w')} AND NOT "
-            f"{exists('w2', duty, f'w2.{ts} <= w.{ts}')})")
-    dp_sql = f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {_disjoin(duty_terms)};"
-
-    dpc_terms = []
-    for tau, duty, consequence in sorted(
-            p.duty_consequence_triples,
-            key=lambda tr: tuple(r.render() for r in tr)):
-        dpc_terms.append(
-            f"({comp.rule(tau, 'w')}"
-            f" AND NOT {exists('w2', duty, f'w2.{ts} <= w.{ts}')}"
-            f" AND ((NOT {exists('w3', duty, f'w3.{ts} >= w.{ts}')})"
-            f" OR (NOT {exists('w4', consequence, f'w4.{ts} >= w.{ts}')})))")
-    dpc_sql = f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {_disjoin(dpc_terms)};"
-
-    remedy_terms = []
-    for tau, remedy in sorted(p.remedy_pairs,
-                              key=lambda pr: tuple(r.render() for r in pr)):
-        remedy_terms.append(
-            f"({comp.rule(tau, 'w')} AND NOT "
-            f"{exists('w2', remedy, f'w2.{ts} >= w.{ts}')})")
-    fr_sql = f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {_disjoin(remedy_terms)};"
-
-    oc_terms = []
-    for tau, consequence in sorted(p.obligation_consequence_pairs,
-                                   key=lambda pr: tuple(r.render() for r in pr)):
-        soft = strip_deadline_conditions(tau)
-        for deadline in deadline_conditions(tau):
-            t = deadline.value.raw
-            late_pair = (
-                f"EXISTS (SELECT 1 FROM {MAIN_TABLE} w2, {MAIN_TABLE} w3 "
-                f"WHERE {comp.rule(soft, 'w2')} AND {comp.rule(consequence, 'w3')} "
-                f"AND w3.{ts} >= {t})")
-            oc_terms.append(
-                f"((NOT EXISTS (SELECT 1 FROM {MAIN_TABLE} w WHERE "
-                f"{comp.rule(tau, 'w')})) AND (NOT {late_pair}))")
-    oc_sql = (f"SELECT 1 AS violated FROM (SELECT 1 AS x) AS one\n"
-              f"WHERE {_disjoin(oc_terms)};")
-
-    return EmittedQuery(
-        dialect="ansi-sql",
-        ddl=lite.ddl,
-        queries=lite.queries + (
-            ("permission-duties-violation", dp_sql),
-            ("permission-duties-with-consequences-violation", dpc_sql),
-            ("prohibition-remedies-violation", fr_sql),
-            ("obligation-consequences-violation", oc_sql),
-        ),
-    )
+def emit_full_violation_queries(p: Policy, schema: FeatureSchema) -> EmittedQuery:
+    """All seven violation clauses; a lite policy is emitted as the full
+    policy with no pairings."""
+    return emit_violation_queries(as_full(p), schema)
 
 
 def world_insert_sql(world: World, schema: FeatureSchema) -> list:

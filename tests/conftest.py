@@ -62,6 +62,15 @@ def ts(op: Operator, t: int) -> SimpleCondition:
     return SimpleCondition(DATETIME, op, Value.timestamp(t))
 
 
+def not_chain(depth: int) -> dict:
+    """A canonical condition document: ``depth`` nested negations of a
+    timestamp bound."""
+    condition = {"feature": "Datetime", "op": "lteq", "value": 5}
+    for _ in range(depth):
+        condition = {"not": condition}
+    return condition
+
+
 def make_p1() -> EventRule:
     return EventRule.of(
         eq(ACTOR, "Alice"), eq(ACTION, "Print"), eq(ASSET, "Picture"),

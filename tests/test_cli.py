@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from odrleval.cli import main
+from conftest import not_chain
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -280,7 +281,41 @@ def test_malformed_schema_exits_2_with_error_object(capsys, tmp_path, key, value
     assert json.loads(err)["error"] == kind
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+@pytest.mark.parametrize("policy, path, value", [
+    ("policy.json", ("permission", 0, "uid"), 5),
+    ("policy.json", ("prohibition", 0, "uid"), [True]),
+    ("requester.json", ("permissions", 0, "conditions", 1),
+     {"feature": "Actor", "op": "isAnyOf", "value": {"a": 1}}),
+    ("requester.json", ("permissions", 0, "conditions", 1),
+     {"feature": "Actor", "op": "isA", "value": [5]}),
+    ("requester.json", ("permissions", 0, "conditions", 1), not_chain(600)),
+])
+@pytest.mark.parametrize("command", ["check", "evaluate", "emit-query"])
+def test_malformed_policy_exits_2_with_error_object(capsys, tmp_path, policy, path,
+                                                    value, command):
+    doc = json.loads((DEMO / policy).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    pfile = tmp_path / "policy.json"
+    pfile.write_text(json.dumps(doc))
+    extra = {"check": (), "evaluate": ("--world", str(DEMO / "world.csv")),
+             "emit-query": ("--out-dir", str(tmp_path / "out"))}[command]
+    code, out, err = run(capsys, command, "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"), *extra)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "bad-format")
+
+
+def test_json_nested_past_the_parser_limit_exits_2(capsys, tmp_path):
+    pfile = tmp_path / "policy.json"
+    pfile.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "check", "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "bad-format")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e999", "9" * 400])
 def test_non_finite_world_value_exits_2_with_error_object(capsys, tmp_path, cell):
     world = tmp_path / "world.csv"
     world.write_text(
@@ -295,10 +330,16 @@ def test_non_finite_world_value_exits_2_with_error_object(capsys, tmp_path, cell
     assert json.loads(err)["error"] == "unparsable-value"
 
 
-def test_output_does_not_depend_on_hash_seed():
+def test_output_does_not_depend_on_hash_seed(tmp_path):
     # Rule conditions and rule sets are frozensets, whose iteration order
-    # follows the interpreter's hash seed; no verdict or report may.
+    # follows the interpreter's hash seed; no verdict or report may. The
+    # page counts past 2**53 share one float and once tied in event order.
+    log = tmp_path / "pages.csv"
+    log.write_text("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n" + "".join(
+        f"1,Read,Bob,Book,null,{2 ** 53 + k}\n" for k in range(6)))
     commands = (
+        ["evaluate", "--policy", str(DEMO / "policy.json"), "--world", str(log),
+         "--schema", str(DEMO / "schema.json")],
         ["evaluate", "--policy", str(DEMO / "policy.json"),
          "--world", str(DEMO / "world.csv"), "--schema", str(DEMO / "schema.json"),
          "--vocab", str(DEMO / "vocabulary.json")],

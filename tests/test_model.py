@@ -136,7 +136,7 @@ def test_value_kind_checks():
         Value(Value.number(1).kind, "nan-string")
 
 
-@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 10 ** 400])
 def test_non_finite_number_rejected(x):
     with pytest.raises(ModelInvariantError):
         Value.number(x)
@@ -169,6 +169,12 @@ def test_rule_label_is_metadata_only():
     b = EventRule.of(eq(1, "Print"), label="two")
     assert a == b
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("label", [5, True, ["one"]])
+def test_rule_label_must_be_a_string(label):
+    with pytest.raises(ModelInvariantError):
+        EventRule.of(eq(1, "Print"), label=label)
 
 
 def test_full_policy_duty_must_be_permitted():
@@ -208,6 +214,15 @@ def test_full_policy_oc_needs_deadline_and_fresh_obligation():
 def test_vocabulary_cycle_rejected():
     with pytest.raises(VocabularyError):
         ActionVocabulary.of([("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def test_vocabulary_long_chain_checked_without_recursion():
+    # A recursive search went one call deeper per link of the chain.
+    chain = [(f"a{i}", f"a{i + 1}") for i in range(20000)]
+    assert ActionVocabulary.of(chain).descendants_of("a20000") == {
+        f"a{i}" for i in range(20001)}
+    with pytest.raises(VocabularyError, match="cyclic-vocabulary"):
+        ActionVocabulary.of(chain + [("a20000", "a0")])
 
 
 def test_vocabulary_descendants_transitive():

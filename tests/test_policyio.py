@@ -9,6 +9,7 @@ import pytest
 
 from odrleval import DocumentError, FullPolicy, LitePolicy, NULL, Operator
 from odrleval.policyio import (
+    MAX_NESTING_DEPTH,
     event_to_object,
     parse_policy_document,
     parse_schema_document,
@@ -21,7 +22,8 @@ from odrleval.policyio import (
     world_to_text,
 )
 from odrleval.model import Datatype
-from conftest import ACTION, ACTOR, RESOLUTION, eq, make_f1, make_o1, make_p1, ts
+from conftest import (
+    ACTION, ACTOR, RESOLUTION, eq, make_f1, make_o1, make_p1, not_chain, ts)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -125,7 +127,7 @@ def test_world_unparsable_value_has_coordinates(schema):
     assert "Print.Resolution" in str(err.value)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "9" * 400])
 def test_world_non_finite_number_rejected(schema, cell):
     text = ("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
             f"1,Print,Alice,Picture,{cell},null\n")
@@ -134,7 +136,7 @@ def test_world_non_finite_number_rejected(schema, cell):
     assert err.value.kind == "unparsable-value"
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999", "-" + "9" * 400])
 def test_policy_non_finite_constant_rejected(schema, token):
     constant = json.loads(token)
     canonical = {
@@ -225,6 +227,46 @@ def test_canonical_pairing_of_wrong_type_rejected(schema, duty_pairs, location):
     assert err.value.location == location
 
 
+@pytest.mark.parametrize("op", ["isAnyOf", "hasPart", "isA"])
+@pytest.mark.parametrize("value", [{"a": 1}, [["a"]], 5, [5], None])
+def test_canonical_set_operand_of_wrong_type_rejected(schema, op, value):
+    doc = {
+        "format": "policy/1",
+        "kind": "lite",
+        "permissions": [{"label": "x", "conditions": [
+            {"feature": "Action", "op": "eq", "value": "Print"},
+            {"feature": "Actor", "op": op, "value": value}]}],
+    }
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert err.value.kind == "bad-format"
+    assert err.value.location == "permissions[0], condition 1"
+
+
+def test_nesting_deeper_than_the_limit_rejected(schema):
+    # The document, the permissions list, the rule and its conditions list
+    # take four levels before the condition tree starts.
+    def doc(depth):
+        return {"format": "policy/1", "kind": "lite", "permissions": [{
+            "label": "x", "conditions": [
+                {"feature": "Action", "op": "eq", "value": "Print"},
+                not_chain(depth)]}]}
+    limit = MAX_NESTING_DEPTH - 5
+    assert len(parse_policy_document(doc(limit), schema).permissions) == 1
+    for depth in (limit + 1, 2000):
+        with pytest.raises(DocumentError) as err:
+            parse_policy_document(doc(depth), schema)
+        assert err.value.kind == "bad-format"
+    constraint = {"leftOperand": "Datetime", "operator": "lteq", "rightOperand": 5}
+    for _ in range(MAX_NESTING_DEPTH):
+        constraint = {"and": [constraint]}
+    odrl = {"@context": "http://www.w3.org/ns/odrl.jsonld", "permission": [{
+        "assignee": "Alice", "action": "Print", "constraint": [constraint]}]}
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(odrl, schema)
+    assert err.value.kind == "bad-format"
+
+
 def test_canonical_rejects_unknown_condition_shape(schema):
     doc = {
         "format": "policy/1",
@@ -295,6 +337,21 @@ def test_odrl_unknown_left_operand(schema):
     with pytest.raises(DocumentError) as err:
         parse_policy_document(doc, schema)
     assert err.value.kind == "unknown-left-operand"
+
+
+@pytest.mark.parametrize("uid", [5, True, ["p1"], {"name": "p1"}])
+@pytest.mark.parametrize("where", ["permission[0]", "permission[0].duty[0]"])
+def test_odrl_uid_of_wrong_type_rejected(schema, uid, where):
+    duty = {"assignee": "Alice", "action": "Print", "target": "Book"}
+    permission = {"assignee": "Alice", "action": "Print", "target": "Picture",
+                  "duty": [duty]}
+    doc = {"@context": "http://www.w3.org/ns/odrl.jsonld",
+           "permission": [permission, duty]}
+    (duty if where.endswith("duty[0]") else permission)["uid"] = uid
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert err.value.kind == "bad-format"
+    assert err.value.location == f"{where}.uid"
 
 
 def test_odrl_policy_level_assignee_applies_to_rules(schema):

@@ -1,0 +1,173 @@
+"""Seeded mutations of every input through every subcommand.
+
+Schema, canonical, ODRL and vocabulary documents and world-log cells are
+mutated at random. Each call must exit 0 or 1, or exit 2 with a JSON error
+object on stderr; an uncaught exception fails the test. Fixed cases cover
+the input families that once raised one.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from odrleval.cli import main
+from conftest import not_chain
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "demo"
+GOLDEN = ROOT / "tests" / "golden"
+POLICIES = ("policy.json", "requester.json", "provider.json", "full-policy.json")
+
+# Values a mutation puts in place of a document node.
+ODD_VALUES = (
+    None, True, False, 0, 5, -1, 1.5, 2 ** 53 + 1, 2 ** 64, -(10 ** 400), "", "x",
+    "Print", "Alice", "Datetime", "Book.Pages", "eq", "isA", "isAnyOf", "hasPart",
+    "and", [], [5], ["a"], [["a"]], [None], {}, {"a": 1}, {"@id": 5},
+    {"@id": "Alice"}, {"@value": 3}, {"not": {}}, {"and": []}, {"const": 1},
+)
+ODD_CELLS = ("", "null", "x", "-1", "1.5", "1e999", "nan", "9" * 400,
+             str(2 ** 53 + 1), "a|b", "|", "2020-01-01T00:00:00", "true", "'")
+
+
+def _nodes(doc):
+    """Every (parent, key) position in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, child in items:
+        yield doc, key
+        if isinstance(child, (dict, list)) and child:
+            yield from _nodes(child)
+
+
+def mutate(doc, rng: Random):
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            return doc
+        parent, key = rng.choice(nodes)
+        roll = rng.random()
+        if roll < 0.6:
+            parent[key] = copy.deepcopy(rng.choice(ODD_VALUES))
+        elif roll < 0.8:
+            del parent[key]
+        else:
+            other, other_key = rng.choice(nodes)
+            parent[key] = copy.deepcopy(other[other_key])
+    return doc
+
+
+def mutate_log(text: str, rng: Random) -> str:
+    rows = [row.split(",") for row in text.splitlines()]
+    for _ in range(rng.randint(1, 2)):
+        row = rng.choice(rows[1:])
+        row[rng.randrange(len(row))] = rng.choice(ODD_CELLS)
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _source(name: str) -> Path:
+    return GOLDEN / name if name.startswith("full-") else DEMO / name
+
+
+def run_all(tmp: Path, policy=DEMO / "policy.json", schema=DEMO / "schema.json",
+            vocab=DEMO / "vocabulary.json", world=DEMO / "world.csv") -> None:
+    common = ("--schema", str(schema))
+    calls = (
+        ("check", "--policy", str(policy), *common),
+        ("evaluate", "--policy", str(policy), "--world", str(world), *common),
+        ("evaluate", "--policy", str(policy), "--world", str(world),
+         "--vocab", str(vocab), *common),
+        ("compare", "--requester", str(policy), "--provider",
+         str(DEMO / "provider.json"), *common, "--mode", "symmetric", "--normalize"),
+        ("compare", "--requester", str(DEMO / "requester.json"), "--provider",
+         str(policy), *common, "--mode", "asymmetric"),
+        ("normalize", "--policy", str(policy), *common),
+        ("saturate", "--policy", str(policy), "--vocab", str(vocab), *common),
+        ("emit-query", "--policy", str(policy), *common, "--out-dir", str(tmp / "sql")),
+    )
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        if code == 2:
+            error = json.loads(err.getvalue())
+            assert isinstance(error["error"], str) and isinstance(error["message"], str)
+            assert out.getvalue() == "", argv
+        else:
+            assert code in (0, 1), argv
+
+
+def _write(path: Path, doc) -> Path:
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_inputs_never_raise(tmp_path, seed):
+    rng = Random(seed)
+    docs = {name: json.loads(_source(name).read_text()) for name in POLICIES}
+    schema = json.loads((DEMO / "schema.json").read_text())
+    vocab = json.loads((DEMO / "vocabulary.json").read_text())
+    for i in range(12):
+        name = POLICIES[i % len(POLICIES)]
+        log = _source("full-world.csv" if name == "full-policy.json" else "world.csv")
+        try:
+            run_all(tmp_path, policy=_write(tmp_path / "policy.json",
+                                            mutate(docs[name], rng)))
+            run_all(tmp_path, schema=_write(tmp_path / "schema.json",
+                                            mutate(schema, rng)))
+            run_all(tmp_path, vocab=_write(tmp_path / "vocab.json", mutate(vocab, rng)))
+            run_all(tmp_path, policy=_source(name), world=_write(
+                tmp_path / "world.csv", mutate_log(log.read_text(), rng)))
+        except Exception as exc:
+            raise AssertionError(f"mutation {i} of seed {seed} ({name}): {exc!r}") from exc
+
+
+def _edited(name: str, path: tuple, value):
+    doc = json.loads(_source(name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+FIXED_POLICIES = {
+    "uid-number": _edited("policy.json", ("permission", 0, "uid"), 5),
+    "uid-list": _edited("policy.json", ("obligation", 0, "uid"), ["o1"]),
+    "operand-object": _edited("requester.json", ("permissions", 0, "conditions", 1),
+                              {"feature": "Actor", "op": "isAnyOf", "value": {"a": 1}}),
+    "operand-number": _edited("requester.json", ("permissions", 0, "conditions", 1),
+                              {"feature": "Actor", "op": "isA", "value": 5}),
+    "deep-condition": _edited("requester.json", ("permissions", 0, "conditions", 2),
+                              not_chain(600)),
+    "deep-json": "[" * 5000 + "]" * 5000,
+}
+PAGES_HEADER = "Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+FIXED_LOGS = {
+    "pages-past-2-53": PAGES_HEADER + "".join(
+        f"1,Read,Bob,Book,null,{2 ** 53 + k}\n" for k in range(6)),
+    "pages-past-float-range": PAGES_HEADER + f"1,Read,Bob,Book,null,{'9' * 400}\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_POLICIES))
+def test_fixed_policy_cases_never_raise(tmp_path, case):
+    run_all(tmp_path, policy=_write(tmp_path / "policy.json", FIXED_POLICIES[case]))
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_LOGS))
+def test_fixed_log_cases_never_raise(tmp_path, case):
+    run_all(tmp_path, world=_write(tmp_path / "world.csv", FIXED_LOGS[case]))
+
+
+def test_long_vocabulary_chain_never_raises(tmp_path):
+    chain = {"format": "action-vocabulary/1",
+             "includedIn": [[f"a{i}", f"a{i + 1}"] for i in range(3000)]}
+    run_all(tmp_path, vocab=_write(tmp_path / "vocab.json", chain))

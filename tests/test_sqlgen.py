@@ -92,6 +92,18 @@ def test_emission_is_deterministic(schema, example_policy):
     assert a.queries == b.queries
 
 
+def test_one_emitter_for_lite_and_full_policies(schema, example_policy):
+    lite_names = [f"{c.value}-violation" for c in list(Clause)[:3]]
+    lite = emit_violation_queries(example_policy, schema)
+    assert [name for name, _ in lite.queries] == lite_names
+    full = emit_full_violation_queries(example_policy, schema)
+    assert [name for name, _ in full.queries] == [f"{c.value}-violation" for c in Clause]
+    assert full.queries[:3] == lite.queries and full.ddl == lite.ddl
+    policy = random_full_policy(Random(5))
+    assert emit_violation_queries(policy, schema) == \
+        emit_full_violation_queries(policy, schema)
+
+
 def test_null_dominance_in_sql(schema):
     # a null resolution must not satisfy "not equal" under negation either
     rule = EventRule.of(eq(ACTION, "Print"), num(RESOLUTION, Operator.NEQ, 1),
