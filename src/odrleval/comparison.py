@@ -10,6 +10,11 @@ Any event whatsoever can be collapsed, feature by feature, onto a probe
 event with identical condition outcomes, so the enumeration is complete for
 the operators supported here.
 
+The domain is the product of the per-feature probes, and a match table over
+it never lists that product: each condition's bitset is computed from the
+product structure (``WitnessDomain.column``), and a witness bit is decoded
+back into its event. The brute-force oracle still enumerates the events.
+
 Conflict detection follows the containment characterization for consistent
 policies: the requester conflicts with the provider when its permissions are
 not covered by the provider's, or some provider obligation has no agreeing
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .conditions import negate
 from .errors import (
@@ -149,19 +156,78 @@ class WitnessDomain:
         return WitnessDomain(schema, tuple(probes))
 
     def event_count(self) -> int:
-        n = 1
-        for p in self.probes:
-            n *= len(p)
-        return n
+        return math.prod(map(len, self.probes))
+
+    __len__ = event_count
+
+    def require_within(self, max_events: int) -> None:
+        """Raise ``DomainTooLargeError`` when the product exceeds the cap,
+        naming each feature's probe count."""
+        if self.event_count() > max_events:
+            counts = " × ".join(f"{d.name} {len(p)}" for d, p in
+                                zip(self.schema.features, self.probes))
+            raise DomainTooLargeError(
+                f"witness domain holds {self.event_count()} events ({counts}), "
+                f"cap is {max_events}")
 
     def events(self, max_events: int = DEFAULT_MAX_EVENTS):
         """Deterministic iterator over the full probe product."""
-        if self.event_count() > max_events:
-            raise DomainTooLargeError(
-                f"witness domain holds {self.event_count()} events, "
-                f"cap is {max_events}")
+        self.require_within(max_events)
         for combo in itertools.product(*self.probes):
             yield Event(combo)
+
+    def __getitem__(self, j: int) -> Event:
+        """The ``j``-th event of ``events()``: ``j`` read in mixed radix,
+        one probe index per feature, feature 0 slowest."""
+        if not 0 <= j < self.event_count():
+            raise IndexError(j)
+        values = []
+        for p in reversed(self.probes):
+            j, k = divmod(j, len(p))
+            values.append(p[k])
+        return Event(tuple(reversed(values)))
+
+    def column(self, read: tuple):
+        """The ``MatchTable`` column view, computed from the product
+        structure: one representative event per combination of the probes of
+        the features in ``read``, and a function from one flag per
+        combination to the bitset over the whole domain."""
+        base = [p[0] for p in self.probes]
+        reps = []
+        for combo in itertools.product(*(self.probes[i] for i in read)):
+            for i, v in zip(read, combo):
+                base[i] = v
+            reps.append(Event(tuple(base)))
+        if len(read) == 1:
+            return reps, self._spreader(read[0])
+        # Several features (isA reads its class feature too): each true
+        # combination is the AND of its features' one-hot masks.
+        onehots = []
+        for i in read:
+            spread, n = self._spreader(i), len(self.probes[i])
+            onehots.append([spread([k == v for k in range(n)]) for v in range(n)])
+
+        def expand(flags) -> int:
+            m = 0
+            for masks, f in zip(itertools.product(*onehots), flags):
+                if f:
+                    m |= reduce(operator.and_, masks)
+            return m
+        return reps, expand
+
+    def _spreader(self, i: int):
+        """flags over feature ``i``'s probes -> the domain bitset where they
+        hold. Each probe covers a run of ``inner`` bits; the block of all
+        ``n * inner`` bits repeats ``outer`` times, so one multiplication by
+        the repunit with a bit at the start of every block lays it out."""
+        sizes = [len(p) for p in self.probes]
+        inner, outer = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
+        repunit = int(("0" * (sizes[i] * inner - 1) + "1") * outer, 2)
+        runs = ("0" * inner, "1" * inner)
+
+        def spread(flags) -> int:
+            return int("".join(map(runs.__getitem__, reversed(flags))), 2) * repunit
+        return spread
 
 
 def _fresh_atom(base: str, taken) -> str:
@@ -218,33 +284,34 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
 # Containment, overlap, consistency
 # ---------------------------------------------------------------------------
 
-def _domain_events(schema, rules, max_events=DEFAULT_MAX_EVENTS, extra_timestamps=()):
-    """Well-formedness gate, then the probe events of the rules' witness domain."""
+def _domain(schema, rules, max_events=DEFAULT_MAX_EVENTS, extra_timestamps=()):
+    """Well-formedness gate, then the rules' witness domain within the cap."""
     rules = tuple(rules)
     for r in rules:
         require_well_formed(r, schema)
     domain = WitnessDomain.for_rules(schema, rules, extra_timestamps=extra_timestamps)
-    return domain.events(max_events=max_events)
+    domain.require_within(max_events)
+    return domain
 
 
 def rule_contains(tau: EventRule, tau_prime: EventRule, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """True when every event matching ``tau`` also matches ``tau_prime``."""
-    t = MatchTable(_domain_events(schema, (tau, tau_prime), max_events), schema)
+    t = MatchTable(_domain(schema, (tau, tau_prime), max_events), schema)
     return not t.rule(tau) & ~t.rule(tau_prime)
 
 
 def rules_overlap(tau: EventRule, tau_prime: EventRule, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """True when some event matches both rules."""
-    t = MatchTable(_domain_events(schema, (tau, tau_prime), max_events), schema)
+    t = MatchTable(_domain(schema, (tau, tau_prime), max_events), schema)
     return bool(t.rule(tau) & t.rule(tau_prime))
 
 
 def rule_satisfiable(tau: EventRule, schema: FeatureSchema,
                      *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """True when some event matches the rule at all."""
-    return bool(MatchTable(_domain_events(schema, (tau,), max_events), schema).rule(tau))
+    return bool(MatchTable(_domain(schema, (tau,), max_events), schema).rule(tau))
 
 
 def set_contains(rules, rules_prime, schema: FeatureSchema,
@@ -252,7 +319,7 @@ def set_contains(rules, rules_prime, schema: FeatureSchema,
     """Semantic set-lifted containment: every event matching some rule on the
     left matches some rule on the right."""
     rules, rules_prime = tuple(rules), tuple(rules_prime)
-    t = MatchTable(_domain_events(schema, rules + rules_prime, max_events), schema)
+    t = MatchTable(_domain(schema, rules + rules_prime, max_events), schema)
     return not t.any(rules) & ~t.any(rules_prime)
 
 
@@ -260,7 +327,7 @@ def is_consistent(p: LitePolicy, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """No permission or obligation overlaps a prohibition, and every
     obligation is covered by the permissions."""
-    t = MatchTable(_domain_events(schema, p.all_rules(), max_events), schema)
+    t = MatchTable(_domain(schema, p.all_rules(), max_events), schema)
     return _consistent(t, p)
 
 
@@ -379,7 +446,7 @@ def normalize(p: LitePolicy, schema: FeatureSchema, *,
     forbids, removes from obligations every part the carved permissions do
     not cover, and drops the then-redundant prohibitions.
     """
-    table = MatchTable(_domain_events(schema, p.all_rules(), max_events), schema)
+    table = MatchTable(_domain(schema, p.all_rules(), max_events), schema)
     return _normalize(table, p, max_rules)
 
 
@@ -464,7 +531,7 @@ def _compared(requester: LitePolicy, provider: LitePolicy, schema,
     """
     def table_over(p, q):
         rules = tuple(p.all_rules()) + tuple(q.all_rules())
-        return MatchTable(_domain_events(schema, rules, max_events), schema)
+        return MatchTable(_domain(schema, rules, max_events), schema)
 
     table = table_over(requester, provider)
     sides = []
@@ -589,8 +656,8 @@ def _oracle_pool(rules, p: LitePolicy, schema, max_events,
     p-permitted and p-unforbidden; restricting the pool to those events
     discards no candidate world.
     """
-    return [e for e in _domain_events(schema, rules, max_events, extra_timestamps)
-            if _admits(p, e, schema)]
+    domain = _domain(schema, rules, max_events, extra_timestamps)
+    return [e for e in domain.events(max_events) if _admits(p, e, schema)]
 
 
 def _brute_force_lite(p: LitePolicy, p_prime: LitePolicy, schema,

@@ -175,39 +175,53 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+class EventList(tuple):
+    """Events in a fixed order, with the column view ``MatchTable`` reads."""
+
+    def column(self, read: tuple):
+        """One representative event per distinct value of the features in
+        ``read``, and a function from one flag per representative to the
+        bitset of the events it represents."""
+        key, index, reps, codes = operator.itemgetter(*read), {}, [], []
+        for e in self:
+            k = index.setdefault(key(e.values), len(index))
+            if k == len(reps):
+                reps.append(e)
+            codes.append(k)
+        codes.reverse()   # the last event is the highest bit
+
+        def expand(flags) -> int:
+            bits = "".join(map("01".__getitem__, flags))
+            return int("".join(map(bits.__getitem__, codes)) or "0", 2)
+        return reps, expand
+
+
 class MatchTable:
     """Match sets over one event sequence: bit ``j`` stands for ``events[j]``.
-    Each distinct condition is compiled once, on first use."""
+    Each distinct condition is compiled once, on first use.
+
+    The sequence is a list of events, or any sequence with its own
+    ``column`` view, such as a witness domain that computes its bitsets
+    from its product structure without listing its events."""
 
     def __init__(self, events, schema: FeatureSchema):
-        self.events = tuple(events)
+        self.events = events if hasattr(events, "column") else EventList(events)
         self.schema = schema
         self.all = (1 << len(self.events)) - 1
-        self._columns: dict = {}   # features read -> (representatives, codes)
+        self._columns: dict = {}   # features read -> (representatives, expand)
         self._masks: dict = {}     # condition -> match set
 
-    def _column(self, read: tuple):
-        """One representative event per distinct value of the features in
-        ``read``, and each event's representative index, last event first."""
-        col = self._columns.get(read)
-        if col is None:
-            key, index, reps, codes = operator.itemgetter(*read), {}, [], []
-            for e in self.events:
-                k = index.setdefault(key(e.values), len(index))
-                if k == len(reps):
-                    reps.append(e)
-                codes.append(k)
-            col = self._columns[read] = (reps, codes[::-1])
-        return col
-
     def _simple(self, c: SimpleCondition) -> int:
-        """``eval_simple`` runs once per distinct value of the features it
+        """``eval_simple`` runs once per representative of the features it
         reads: the condition's own, plus the class feature for ``isA``."""
         cf = self.schema.declaration(c.feature).class_feature \
             if c.op is Operator.IS_A else None
-        reps, codes = self._column((c.feature,) if cf is None else (c.feature, cf))
-        flags = ["1" if eval_simple(c, e, self.schema) else "0" for e in reps]
-        return int("".join(map(flags.__getitem__, codes)) or "0", 2)
+        read = (c.feature,) if cf is None else (c.feature, cf)
+        col = self._columns.get(read)
+        if col is None:
+            col = self._columns[read] = self.events.column(read)
+        reps, expand = col
+        return expand([eval_simple(c, e, self.schema) for e in reps])
 
     def condition(self, c: Condition) -> int:
         m = self._masks.get(c)

@@ -160,9 +160,9 @@ class _Compiler:
         if isinstance(c, Not):
             return "(NOT " + self.condition(c.part, alias) + ")"
         if isinstance(c, Xor):
-            a = self.condition(c.left, alias)
-            b = self.condition(c.right, alias)
-            return f"(({a} AND NOT {b}) OR ((NOT {a}) AND {b}))"
+            # exact because every compiled condition is two-valued, and each
+            # operand is written once, so nesting grows the query linearly
+            return f"({self.condition(c.left, alias)} <> {self.condition(c.right, alias)})"
         if isinstance(c, Constant):
             return _TRUE if c.truth else _FALSE
         raise AssertionError(f"unknown condition node {c!r}")

@@ -16,6 +16,7 @@ from odrleval import (
     LitePolicy,
     NULL,
     Operator,
+    Or,
     SimpleCondition,
     Value,
     World,
@@ -69,6 +70,17 @@ def not_chain(depth: int) -> dict:
     for _ in range(depth):
         condition = {"not": condition}
     return condition
+
+
+def bounds_rule(n: int) -> EventRule:
+    """Print a Book whose resolution and page count each equal one of ``n``
+    constants. Each numeric feature gets 2n + 2 probes, so for n = 60 the
+    witness domain holds 6 * 122**2 = 89,304 events."""
+    return EventRule.of(
+        eq(ACTION, "Print"), eq(ASSET, "Book"),
+        Or(tuple(num(RESOLUTION, Operator.EQ, 10 * k) for k in range(n))),
+        Or(tuple(num(PAGES, Operator.EQ, 10 * k + 1) for k in range(n))),
+        label=f"bounds-{n}")
 
 
 def make_p1() -> EventRule:

@@ -223,6 +223,28 @@ def test_emit_query_rejects_integer_outside_64_bits(capsys, tmp_path):
     assert json.loads(err)["error"] == "QueryEmitError"
 
 
+def test_emit_query_xor_chain_grows_linearly(capsys, tmp_path):
+    # Each xor level used to repeat both operands, doubling the query: a
+    # 16-deep chain wrote 11.4 MB per query file.
+    chain = {"feature": "Datetime", "op": "lteq", "value": 5}
+    for k in range(16):
+        chain = {"xor": [chain, {"feature": "Datetime", "op": "lteq", "value": k}]}
+    policy = json.loads((DEMO / "requester.json").read_text())
+    policy["permissions"] = policy["permissions"][:1]
+    policy["prohibitions"] = [dict(policy["permissions"][0], label="f")]
+    for rule in policy["permissions"] + policy["prohibitions"]:
+        rule["conditions"] = rule["conditions"] + [chain]
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(policy))
+    out_dir = tmp_path / "queries"
+    code, out, _ = run(capsys, "emit-query", "--policy", str(pfile),
+                       "--schema", str(DEMO / "schema.json"),
+                       "--out-dir", str(out_dir))
+    assert code == 0
+    for filename in json.loads(out)["queries"].values():
+        assert (out_dir / filename).stat().st_size < 64 * 1024, filename
+
+
 def test_check_reports_well_formedness(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--policy", str(DEMO / "policy.json"),
                        "--schema", str(DEMO / "schema.json"))

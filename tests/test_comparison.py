@@ -44,6 +44,7 @@ from conftest import (
     ASSET,
     PAGES,
     RESOLUTION,
+    bounds_rule,
     eq,
     make_event,
     num,
@@ -387,6 +388,17 @@ def test_domain_cap_raises(schema):
         rule_contains(narrow, narrow, schema, max_events=3)
     from odrleval import DomainTooLargeError
     assert isinstance(err.value, DomainTooLargeError)
+
+
+def test_domain_cap_message_names_probe_counts(schema):
+    rule = bounds_rule(60)
+    with pytest.raises(DomainTooLargeError) as err:
+        rule_contains(rule, rule, schema, max_events=89_303)
+    assert str(err.value) == (
+        "witness domain holds 89304 events (Datetime 1 × Action 2 × "
+        "Actor 1 × Asset 3 × Print.Resolution 122 × Book.Pages 122), "
+        "cap is 89303")
+    assert rule_contains(rule, rule, schema, max_events=89_304)
 
 
 def test_set_atom_cap_raises():

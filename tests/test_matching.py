@@ -16,10 +16,12 @@ from odrleval import (
     Or,
     RULE_WIDE,
     SimpleCondition,
+    WitnessDomain,
     World,
     check_well_formed,
     eval_complex,
     match,
+    rule_contains,
     softmatch,
     strip_deadline_conditions,
 )
@@ -31,6 +33,7 @@ from conftest import (
     ASSET,
     PAGES,
     RESOLUTION,
+    bounds_rule,
     eq,
     make_event,
     num,
@@ -214,6 +217,56 @@ def test_match_table_agrees_with_eval_complex(events, conditions):
     rule = EventRule(frozenset(conditions))
     expected = [j for j, e in enumerate(events) if match_unchecked(rule, e, schema)]
     assert list(bit_positions(table.rule(rule))) == expected
+
+
+# -- the match table over a witness domain ------------------------------------
+
+def assert_domain_table_equals_listed(rules, schema):
+    """The table computed from the domain's product structure gives every
+    condition the bitset of the table over its listed events."""
+    domain = WitnessDomain.for_rules(schema, rules)
+    events = tuple(domain.events())
+    assert len(domain) == len(events)
+    assert [domain[j] for j in range(len(events))] == list(events)
+    with pytest.raises(IndexError):
+        domain[len(events)]
+    product, listed = MatchTable(domain, schema), MatchTable(events, schema)
+    for c in {c for r in rules for top in r.conditions
+              for c in (top, *simple_conditions_of(top))}:
+        assert product.condition(c) == listed.condition(c), c
+    for r in rules:
+        assert product.rule(r) == listed.rule(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(strategies.well_formed_rules(), min_size=1, max_size=2))
+def test_domain_table_equals_listed_table(rules):
+    import conftest
+    assert_domain_table_equals_listed(rules, conftest.make_schema())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(strategies.tagged_conditions(), min_size=1, max_size=3))
+def test_domain_table_equals_listed_table_with_classes(conditions):
+    # isA reads two features: the condition's own and its class feature
+    assert_domain_table_equals_listed(
+        [EventRule(frozenset(conditions))], strategies.tagged_schema())
+
+
+def test_domain_table_lists_no_events(schema, monkeypatch):
+    # The 60-bound rule's domain holds 89,304 events; the table builds one
+    # representative per probe of each feature a condition reads.
+    built = []
+    post_init = Event.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Event, "__post_init__", counting)
+    rule = bounds_rule(60)
+    assert rule_contains(rule, rule, schema)
+    assert len(built) < 1000
 
 
 @settings(max_examples=150, deadline=None)

@@ -290,6 +290,105 @@ def test_random_differential_smoke(schema):
         agree_with_evaluator(policy, random_world(rng), schema)
 
 
+# -- extreme legal values and nested boolean structure ---------------------------
+
+EXTREME_INTS = (2 ** 63 - 1, -(2 ** 63 - 1), 0)
+EXTREME_NUMBERS = EXTREME_INTS + (1e-300, -1e-300, 0.5, 1e300)
+EXTREME_TEXTS = ("", "O'Brien", "it''s", "Zo\u00eb", "\u6771\u4eac", "'; --")
+EXTREME_ATOMS = ("a'b", "\u00fc", "plain")
+EXTREME_SETS = ((), ("a'b",), ("\u00fc", "a'b"), EXTREME_ATOMS)
+EXTREME_ACTORS = ("O'Brien", "Zo\u00eb")
+AMOUNT, NOTE, TAGS, PEER = 4, 5, 6, 7
+
+
+def extreme_schema():
+    from odrleval import ComponentTag, Datatype, FeatureDecl, FeatureSchema
+    return FeatureSchema((
+        FeatureDecl(0, "Datetime", Datatype.TIMESTAMP, ComponentTag.RULE),
+        FeatureDecl(1, "Action", Datatype.IDENTIFIER, ComponentTag.ACTION),
+        FeatureDecl(2, "Actor", Datatype.IDENTIFIER, ComponentTag.PARTY,
+                    party_role="assignee"),
+        FeatureDecl(3, "Asset", Datatype.IDENTIFIER, ComponentTag.ASSET),
+        FeatureDecl(AMOUNT, "Amount", Datatype.NUMERIC, ComponentTag.RULE),
+        FeatureDecl(NOTE, "Note", Datatype.STRING, ComponentTag.RULE),
+        FeatureDecl(TAGS, "Tags", Datatype.IDENTIFIER_SET, ComponentTag.RULE),
+        FeatureDecl(PEER, "Peer", Datatype.IDENTIFIER, ComponentTag.RULE,
+                    class_feature=TAGS),
+    ))
+
+
+def extreme_world(rng: Random) -> World:
+    from odrleval import NULL, Event
+
+    def maybe(v):
+        return NULL if rng.random() < 0.25 else v
+
+    return World.of(Event((
+        Value.timestamp(rng.choice(EXTREME_INTS)),
+        Value.identifier(rng.choice(("Print", "Read"))),
+        maybe(Value.identifier(rng.choice(EXTREME_ACTORS))),
+        maybe(Value.identifier("Book")),
+        maybe(Value.number(rng.choice(EXTREME_NUMBERS))),
+        maybe(Value.text(rng.choice(EXTREME_TEXTS))),
+        maybe(Value.identifier_set(rng.choice(EXTREME_SETS))),
+        maybe(Value.identifier(rng.choice(EXTREME_ATOMS))),
+    )) for _ in range(rng.randint(0, 6)))
+
+
+def extreme_condition(rng: Random, depth: int):
+    """A rule-wide condition tree: nested xor, not, or and and over the
+    timestamp, number, text, set and class features."""
+    from odrleval import And, Not, Or, Xor
+    if depth == 0 or rng.random() < 0.3:
+        feature = rng.choice((0, AMOUNT, NOTE, TAGS, PEER))
+        ordered = (Operator.EQ, Operator.NEQ, Operator.LT, Operator.LTEQ,
+                   Operator.GT, Operator.GTEQ)
+        if feature == 0:
+            return ts(rng.choice(ordered), rng.choice(EXTREME_INTS))
+        if feature == AMOUNT:
+            return num(AMOUNT, rng.choice(ordered), rng.choice(EXTREME_NUMBERS))
+        if feature == NOTE:
+            if rng.random() < 0.3:
+                return SimpleCondition(
+                    NOTE, rng.choice((Operator.IS_ANY_OF, Operator.IS_NONE_OF)),
+                    Value.identifier_set(rng.choice(EXTREME_SETS[:2] + (EXTREME_TEXTS,))))
+            return SimpleCondition(NOTE, rng.choice(ordered),
+                                   Value.text(rng.choice(EXTREME_TEXTS)))
+        if feature == TAGS:
+            return SimpleCondition(
+                TAGS, rng.choice((Operator.HAS_PART, Operator.IS_PART_OF,
+                                  Operator.IS_ALL_OF)),
+                Value.identifier_set(rng.choice(EXTREME_SETS)))
+        return SimpleCondition(PEER, Operator.IS_A,
+                               Value.identifier(rng.choice(EXTREME_ATOMS)))
+    kind = rng.choice(("xor", "not", "or", "and"))
+    if kind == "not":
+        return Not(extreme_condition(rng, depth - 1))
+    left, right = extreme_condition(rng, depth - 1), extreme_condition(rng, depth - 1)
+    return {"xor": Xor, "or": lambda a, b: Or((a, b)),
+            "and": lambda a, b: And((a, b))}[kind](left, right)
+
+
+def extreme_rule(rng: Random) -> EventRule:
+    conds = [eq(ACTION, rng.choice(("Print", "Read")))]
+    if rng.random() < 0.5:
+        conds.append(eq(ACTOR, rng.choice(EXTREME_ACTORS)))
+    conds += [extreme_condition(rng, 3) for _ in range(rng.randint(0, 2))]
+    return EventRule(frozenset(conds))
+
+
+def test_random_differential_extreme_values_and_nested_xor():
+    schema = extreme_schema()
+    rng = Random(6302)
+    for _ in range(150):
+        policy = LitePolicy.of(
+            [extreme_rule(rng) for _ in range(rng.randint(0, 2))],
+            [extreme_rule(rng) for _ in range(rng.randint(0, 2))],
+            [extreme_rule(rng) for _ in range(rng.randint(0, 2))],
+        )
+        agree_with_evaluator(policy, extreme_world(rng), schema)
+
+
 def random_full_policy(rng: Random) -> FullPolicy:
     def pinned(extra=None):
         conds = [eq(ACTION, rng.choice(("Print", "Read", "Pay"))),
