@@ -43,6 +43,7 @@ from .matching import (
     lowest_bit,
     match_unchecked,
     require_well_formed,
+    top_level_equalities,
 )
 from .model import (
     ACTION_FEATURE,
@@ -59,7 +60,6 @@ from .model import (
     Operator,
     PAIRINGS,
     Policy,
-    SimpleCondition,
     TIMESTAMP_FEATURE,
     Value,
     ValueKind,
@@ -67,6 +67,7 @@ from .model import (
     as_full,
     deadline_conditions,
     ordered_rules,
+    require_lite,
     simple_conditions_of,
 )
 
@@ -327,6 +328,7 @@ def is_consistent(p: LitePolicy, schema: FeatureSchema,
                   *, max_events: int = DEFAULT_MAX_EVENTS) -> bool:
     """No permission or obligation overlaps a prohibition, and every
     obligation is covered by the permissions."""
+    require_lite(p=p)
     t = MatchTable(_domain(schema, p.all_rules(), max_events), schema)
     return _consistent(t, p)
 
@@ -343,12 +345,8 @@ def _consistent(t: MatchTable, p: LitePolicy) -> bool:
 
 def _core_pins(rule: EventRule, schema: FeatureSchema) -> dict:
     """feature -> equality condition, over top-level core-component pins."""
-    pins = {}
-    for c in rule.conditions:
-        if (isinstance(c, SimpleCondition) and c.op is Operator.EQ
-                and schema.declaration(c.feature).component in CORE_TAGS):
-            pins[c.feature] = c
-    return pins
+    return {k: pins[0] for k, pins in top_level_equalities(rule).items()
+            if schema.declaration(k).component in CORE_TAGS}
 
 
 def _require_pin_cover(rule, prohibition, schema, which: str) -> None:
@@ -446,6 +444,7 @@ def normalize(p: LitePolicy, schema: FeatureSchema, *,
     forbids, removes from obligations every part the carved permissions do
     not cover, and drops the then-redundant prohibitions.
     """
+    require_lite(p=p)
     table = MatchTable(_domain(schema, p.all_rules(), max_events), schema)
     return _normalize(table, p, max_rules)
 
@@ -558,6 +557,7 @@ def asymmetric_conflict(requester: LitePolicy, provider: LitePolicy,
     permissions must be covered by the provider's, and every provider
     obligation must contain some requester obligation.
     """
+    require_lite(requester=requester, provider=provider)
     return _contained(*_compared(
         requester, provider, schema, auto_normalize, max_events))
 
@@ -605,6 +605,7 @@ def symmetric_conflict(p: LitePolicy, p_prime: LitePolicy, schema: FeatureSchema
                        *, auto_normalize: bool = False,
                        max_events: int = DEFAULT_MAX_EVENTS) -> ConflictVerdict:
     """Conflict on any semantic difference: containment must hold both ways."""
+    require_lite(p=p, p_prime=p_prime)
     table, p, p_prime = _compared(p, p_prime, schema, auto_normalize, max_events)
     forward, backward = _contained(table, p, p_prime), _contained(table, p_prime, p)
     directions = []

@@ -33,7 +33,8 @@ class ModelInvariantError(EngineError):
 
 class PolicyInvariantError(EngineError):
     """A FullPolicy tuple set (DP/DPC/FR/OC) breaks its membership or
-    deadline requirements."""
+    deadline requirements, or an operation defined on lite policies only
+    was handed another kind of policy."""
 
 
 class VocabularyError(EngineError):

@@ -37,6 +37,7 @@ from .model import (
     deadline_conditions,
     ordered_rules,
     ordered_tuples,
+    require_lite,
 )
 
 
@@ -93,6 +94,7 @@ class ViolationReport:
 def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the three lite clauses and report every finding: the full
     evaluation of the policy with no pairings."""
+    require_lite(p=p)
     return evaluate_full(FullPolicy.of(p), w, s)
 
 

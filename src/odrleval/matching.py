@@ -56,14 +56,22 @@ class WellFormednessReport:
         assert self.ok == (not self.violations)
 
 
+def top_level_equalities(rule: EventRule) -> dict:
+    """feature -> the rule's top-level ``<i, =, v>`` conditions. A
+    well-formed rule has exactly one for the action and for each core
+    component it uses: its pins."""
+    equalities = {}
+    for c in rule.conditions:
+        if isinstance(c, SimpleCondition) and c.op is Operator.EQ:
+            equalities.setdefault(c.feature, []).append(c)
+    return equalities
+
+
 def check_well_formed(rule: EventRule, schema: FeatureSchema) -> WellFormednessReport:
     """Report-valued check of the three well-formedness items."""
     label = rule.display_label(schema)
     violations = []
-    equalities = {}   # feature -> its top-level <i, =, v> conditions
-    for c in rule.conditions:
-        if isinstance(c, SimpleCondition) and c.op is Operator.EQ:
-            equalities.setdefault(c.feature, []).append(c)
+    equalities = top_level_equalities(rule)
 
     # Item 1: some top-level <Action, =, a>.
     if ACTION_FEATURE not in equalities:
@@ -71,11 +79,7 @@ def check_well_formed(rule: EventRule, schema: FeatureSchema) -> WellFormednessR
 
     # Item 2: every core component in use is pinned by exactly one top-level
     # equality and referenced by no other condition.
-    used_components = set()
-    for i in rule.feature_set():
-        gamma = schema.gamma(i)
-        if gamma is not RULE_WIDE:
-            used_components.add(gamma)
+    used_components = {schema.gamma(i) for i in rule.feature_set()} - {RULE_WIDE}
     for k in sorted(used_components):
         pins = equalities.get(k, [])
         others = [

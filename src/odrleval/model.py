@@ -17,6 +17,7 @@ value.
 from __future__ import annotations
 
 import functools
+import graphlib
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -387,11 +388,10 @@ class World:
 
     @staticmethod
     def of(events: Iterable[Event], schema: FeatureSchema | None = None) -> "World":
-        evs = frozenset(events)
+        world = World(frozenset(events))
         if schema is not None:
-            for e in evs:
-                conform_event(e, schema)
-        return World(evs)
+            conform_world(world, schema)
+        return world
 
     def __contains__(self, event: Event) -> bool:
         return event in self.events
@@ -764,6 +764,13 @@ def as_full(policy: Policy) -> FullPolicy:
 Policy = Union[LitePolicy, FullPolicy]
 
 
+def require_lite(**policies) -> None:
+    """Raise PolicyInvariantError naming the first argument not a lite policy."""
+    for name, p in policies.items():
+        if not isinstance(p, LitePolicy):
+            raise PolicyInvariantError(f"{name} must be a lite policy, not {type(p).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Action vocabulary
 # ---------------------------------------------------------------------------
@@ -782,41 +789,22 @@ class ActionVocabulary:
         edges = frozenset(
             (str(c), str(p)) for c, p in self.included_in)
         object.__setattr__(self, "included_in", edges)
-        self._check_acyclic()
+        # Sorted, so the cycle named does not depend on the hash seed;
+        # graphlib's search needs no recursion, however long the chain.
+        sorter = graphlib.TopologicalSorter()
+        for child, parent in sorted(edges):
+            sorter.add(child, parent)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError as exc:
+            cycle = exc.args[1][::-1]   # graphlib lists it parent first
+            raise VocabularyError(
+                f"cyclic-vocabulary: action {cycle[0]!r} is included in itself "
+                f"via {' -> '.join(cycle)}") from None
 
     @staticmethod
     def of(edges: Iterable) -> "ActionVocabulary":
         return ActionVocabulary(frozenset(tuple(e) for e in edges))
-
-    def _check_acyclic(self) -> None:
-        """Depth-first search with an explicit stack, so that a long
-        ``includedIn`` chain cannot exhaust the recursion limit."""
-        parents = self._parents()
-        done: set = set()
-        for root, _ in self.included_in:
-            if root in done:
-                continue
-            path, on_path, pending = [root], {root}, [iter(parents.get(root, ()))]
-            while pending:
-                node = next(pending[-1], None)
-                if node is None:
-                    pending.pop()
-                    on_path.discard(path[-1])
-                    done.add(path.pop())
-                elif node in on_path:
-                    raise VocabularyError(
-                        f"cyclic-vocabulary: action {node!r} is included in itself "
-                        f"via {' -> '.join(path + [node])}")
-                elif node not in done:
-                    path.append(node)
-                    on_path.add(node)
-                    pending.append(iter(parents.get(node, ())))
-
-    def _parents(self) -> dict:
-        out: dict = {}
-        for child, parent in self.included_in:
-            out.setdefault(child, set()).add(parent)
-        return out
 
     @functools.cached_property
     def _children(self) -> dict:

@@ -314,7 +314,8 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
             else:
                 values.append(parse_value(cell, decl.datatype, where))
         events.append(Event(tuple(values)))
-    return World.of(events, schema)
+    # each cell was read with its column's datatype: the events conform
+    return World(frozenset(events))
 
 
 def world_to_text(world: World, schema: FeatureSchema) -> str:

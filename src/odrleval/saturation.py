@@ -13,7 +13,7 @@ the "duties are permissions" invariant intact after saturation.
 
 from __future__ import annotations
 
-from .matching import require_well_formed
+from .matching import require_well_formed, top_level_equalities
 from .model import (
     ACTION_FEATURE,
     ActionVocabulary,
@@ -30,17 +30,8 @@ from .model import (
 )
 
 
-def _action_equality(rule: EventRule) -> SimpleCondition:
-    for c in rule.conditions:
-        if (isinstance(c, SimpleCondition) and c.feature == ACTION_FEATURE
-                and c.op is Operator.EQ):
-            return c
-    raise AssertionError("well-formed rules always pin the action")
-
-
-def _specialize(rule: EventRule, action: str) -> EventRule:
-    """Copy of the rule with its action equality replaced."""
-    pin = _action_equality(rule)
+def _specialize(rule: EventRule, pin: SimpleCondition, action: str) -> EventRule:
+    """Copy of the rule with its action pin replaced."""
     conditions = (rule.conditions - {pin}) | {
         SimpleCondition(ACTION_FEATURE, Operator.EQ, Value.identifier(action))}
     label = None if rule.label is None else f"{rule.label}@{action}"
@@ -55,9 +46,10 @@ def saturate(policy: Policy, vocabulary: ActionVocabulary,
     expansion = {}    # permission -> its specialized copies (original included)
     for tau in full.lite.permissions:
         require_well_formed(tau, schema)
-        action = _action_equality(tau).value.raw
+        pin, = top_level_equalities(tau)[ACTION_FEATURE]
+        action = pin.value.raw
         expansion[tau] = [tau] + [
-            _specialize(tau, sub)
+            _specialize(tau, pin, sub)
             for sub in sorted(vocabulary.descendants_of(action) - {action})]
     lite = LitePolicy.of(
         permissions=(c for copies in expansion.values() for c in copies),

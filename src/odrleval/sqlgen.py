@@ -40,6 +40,7 @@ from .model import (
     World,
     Xor,
     as_full,
+    conform_world,
     deadline_conditions,
     ordered_rules,
     ordered_tuples,
@@ -116,6 +117,8 @@ def create_table_sql(schema: FeatureSchema) -> str:
 
 
 def _quote(s: str) -> str:
+    if "\x00" in s:
+        raise QueryEmitError(f"string {s!r} holds U+0000, which SQL text cannot carry")
     return "'" + s.replace("'", "''") + "'"
 
 
@@ -318,13 +321,14 @@ def emit_full_violation_queries(p: Policy, schema: FeatureSchema) -> EmittedQuer
 
 
 def world_insert_sql(world: World, schema: FeatureSchema) -> list:
-    """INSERT statements materializing a world, events ordered and numbered
-    deterministically."""
+    """INSERT statements materializing a world that conforms to the schema,
+    events ordered and numbered deterministically."""
+    conform_world(world, schema)
     cols = _columns(schema)
+    names = ", ".join(["event_id"] + [_q(cols[d.index]) for d in schema.features])
     rows = []
     members = []
     for event_id, event in enumerate(world.ordered()):
-        names = ["event_id"] + [_q(cols[d.index]) for d in schema.features]
         vals = [str(event_id)]
         for decl in schema.features:
             v = event.value(decl.index)
@@ -340,6 +344,6 @@ def world_insert_sql(world: World, schema: FeatureSchema) -> list:
             else:
                 vals.append(_literal(v))
         rows.append(
-            f"INSERT INTO {MAIN_TABLE} ({', '.join(names)}) "
+            f"INSERT INTO {MAIN_TABLE} ({names}) "
             f"VALUES ({', '.join(vals)});")
     return rows + members

@@ -72,6 +72,38 @@ def not_chain(depth: int) -> dict:
     return condition
 
 
+def boolean_policy_document() -> dict:
+    """A canonical lite policy over the demo schema whose rules use the
+    ``or``, ``xor`` and ``const`` condition forms."""
+    def pin(feature, value):
+        return {"feature": feature, "op": "eq", "value": value}
+
+    def bound(feature, op, value):
+        return {"feature": feature, "op": op, "value": value}
+
+    return {
+        "format": "policy/1",
+        "kind": "lite",
+        "permissions": [
+            {"label": "print-early-or-late", "conditions": [
+                pin("Action", "Print"), pin("Actor", "Alice"),
+                {"or": [bound("Datetime", "lteq", 1), bound("Datetime", "gteq", 3)]},
+                {"const": True}]},
+            {"label": "read-thick-xor-thin", "conditions": [
+                pin("Action", "Read"), pin("Asset", "Book"),
+                {"xor": [bound("Book.Pages", "gt", 250), bound("Book.Pages", "lt", 300)]}]},
+        ],
+        "prohibitions": [
+            {"label": "never", "conditions": [pin("Action", "Print"), {"const": False}]},
+        ],
+        "obligations": [
+            {"label": "late-print", "conditions": [
+                pin("Action", "Print"), pin("Actor", "Alice"),
+                {"or": [{"const": False}, bound("Datetime", "gteq", 3)]}]},
+        ],
+    }
+
+
 def bounds_rule(n: int) -> EventRule:
     """Print a Book whose resolution and page count each equal one of ``n``
     constants. Each numeric feature gets 2n + 2 probes, so for n = 60 the

@@ -1,7 +1,14 @@
 """The package's public names: a change that adds, removes or renames one
-edits this list on purpose."""
+edits this list on purpose. Also what the public calls accept, and what the
+package may import."""
 
 from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
 
 import odrleval
 
@@ -31,3 +38,42 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(odrleval.__all__) == PUBLIC_NAMES
+
+
+def _full_policy():
+    from conftest import make_p1
+    return odrleval.FullPolicy.of(odrleval.LitePolicy.of({make_p1()}))
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda full, lite, s: odrleval.asymmetric_conflict(lite, full, s), "provider"),
+    (lambda full, lite, s: odrleval.symmetric_conflict(full, lite, s), "p"),
+    (lambda full, lite, s: odrleval.is_consistent(full, s), "p"),
+    (lambda full, lite, s: odrleval.normalize(full, s), "p"),
+    (lambda full, lite, s: odrleval.evaluate_lite(full, odrleval.World.of(()), s), "p"),
+], ids=["asymmetric_conflict", "symmetric_conflict", "is_consistent", "normalize",
+        "evaluate_lite"])
+def test_lite_only_calls_refuse_full_policies(schema, call, argument):
+    # Without the check these failed with an AttributeError on `.permissions`.
+    lite = odrleval.LitePolicy.of()
+    with pytest.raises(odrleval.PolicyInvariantError,
+                       match=f"^{argument} must be a lite policy, not FullPolicy$"):
+        call(_full_policy(), lite, schema)
+
+
+def test_package_imports_only_the_standard_library():
+    # The package is stdlib-only: every absolute import names a module of
+    # the standard library; relative imports stay inside the package.
+    src = Path(odrleval.__file__).parent
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {n}" for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

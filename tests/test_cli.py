@@ -354,11 +354,15 @@ def test_non_finite_world_value_exits_2_with_error_object(capsys, tmp_path, cell
 
 def test_output_does_not_depend_on_hash_seed(tmp_path):
     # Rule conditions and rule sets are frozensets, whose iteration order
-    # follows the interpreter's hash seed; no verdict or report may. The
-    # page counts past 2**53 share one float and once tied in event order.
+    # follows the interpreter's hash seed; no verdict, report or error may.
+    # The page counts past 2**53 share one float and once tied in event
+    # order; a vocabulary with two cycles once had either one named.
     log = tmp_path / "pages.csv"
     log.write_text("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n" + "".join(
         f"1,Read,Bob,Book,null,{2 ** 53 + k}\n" for k in range(6)))
+    cycles = tmp_path / "cycles.json"
+    cycles.write_text(json.dumps({"format": "action-vocabulary/1", "includedIn": [
+        ["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "d"]]}))
     commands = (
         ["evaluate", "--policy", str(DEMO / "policy.json"), "--world", str(log),
          "--schema", str(DEMO / "schema.json")],
@@ -368,6 +372,8 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
         ["compare", "--requester", str(DEMO / "requester.json"),
          "--provider", str(DEMO / "provider.json"),
          "--schema", str(DEMO / "schema.json"), "--mode", "symmetric"],
+        ["saturate", "--policy", str(DEMO / "policy.json"), "--vocab", str(cycles),
+         "--schema", str(DEMO / "schema.json")],
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     for argv in commands:
@@ -379,9 +385,13 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
             done = subprocess.run(
                 [sys.executable, "-m", "odrleval.cli", *argv],
                 env=env, capture_output=True, text=True, timeout=120)
-            runs.append((done.returncode, done.stdout))
+            runs.append((done.returncode, done.stdout, done.stderr))
         assert runs[0] == runs[1]
-        assert runs[0][0] in (0, 1) and runs[0][1]
+        code, out, err = runs[0]
+        if argv[0] == "saturate":
+            assert (code, out) == (2, "") and "a -> b -> c -> a" in err
+        else:
+            assert code in (0, 1) and out and not err
 
 
 def test_evaluate_with_vocabulary_saturates(capsys, tmp_path):
@@ -425,3 +435,64 @@ def test_evaluate_full_flag_on_lite_document(capsys, tmp_path):
         "--world", str(world), "--schema", str(DEMO / "schema.json"), "--full")
     assert code_plain == code_full
     assert json.loads(out_plain)["findings"] == json.loads(out_full)["findings"]
+
+
+def test_each_event_is_conformed_once(capsys, monkeypatch):
+    # parse_world_text reads every cell with its column's datatype, so only
+    # evaluate_full checks conformance, once per event.
+    from odrleval import model
+    from odrleval.policyio import parse_schema_document, parse_world_text
+    calls = []
+    check = model.conform_event
+    monkeypatch.setattr(model, "conform_event",
+                        lambda event, schema: calls.append(event) or check(event, schema))
+    schema = parse_schema_document(json.loads((DEMO / "schema.json").read_text()))
+    world = parse_world_text((DEMO / "world.csv").read_text(), schema)
+    assert calls == []
+    code, _, _ = run(capsys, "evaluate", "--policy", str(DEMO / "policy.json"),
+                     "--world", str(DEMO / "world.csv"),
+                     "--schema", str(DEMO / "schema.json"))
+    assert code == 1
+    assert sorted(calls, key=model.Event.sort_key) == list(world.ordered())
+
+
+def test_emit_query_nul_in_policy_string_exits_2(capsys, tmp_path):
+    # sqlite refuses SQL text holding U+0000; no query file is written.
+    policy = json.loads((DEMO / "requester.json").read_text())
+    policy["permissions"][0]["conditions"][1]["value"] = "Ali\u0000ce"
+    pfile = tmp_path / "policy.json"
+    pfile.write_text(json.dumps(policy))
+    out_dir = tmp_path / "queries"
+    code, out, err = run(capsys, "emit-query", "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "QueryEmitError"
+    assert not out_dir.exists()
+
+
+def test_canonical_or_xor_const_through_the_cli(capsys, tmp_path):
+    from odrleval import LitePolicy
+    from odrleval.policyio import parse_policy_document, parse_schema_document
+    from conftest import boolean_policy_document
+    schema_path = str(DEMO / "schema.json")
+    pfile = tmp_path / "policy.json"
+    pfile.write_text(json.dumps(boolean_policy_document()))
+    code, out, _ = run(capsys, "check", "--policy", str(pfile), "--schema", schema_path)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+    # no prohibition overlaps a rule and the permissions cover the
+    # obligation, so normalization only drops the prohibitions
+    code, out, _ = run(capsys, "normalize", "--policy", str(pfile), "--schema", schema_path)
+    assert code == 0
+    assert '"xor"' in out and '"or"' in out and '"const": true' in out
+    schema = parse_schema_document(json.loads(Path(schema_path).read_text()))
+    original = parse_policy_document(boolean_policy_document(), schema)
+    assert parse_policy_document(json.loads(out), schema) == LitePolicy.of(
+        original.permissions, (), original.obligations)
+
+    out_dir = tmp_path / "queries"
+    code, _, _ = run(capsys, "emit-query", "--policy", str(pfile), "--schema", schema_path,
+                     "--out-dir", str(out_dir))
+    assert code == 0
+    assert "(1=1)" in (out_dir / "permissions-violation.sql").read_text()
+    assert "(1=0)" in (out_dir / "prohibitions-violation.sql").read_text()

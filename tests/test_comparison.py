@@ -254,6 +254,38 @@ def test_normalize_blowup_cap(schema):
     assert err.value.kind == "normalization-blowup"
 
 
+def test_normalize_total_permission_cap(schema):
+    # each permission carves to itself, but together they pass a cap of one
+    p = LitePolicy.of({bob_read_book(label="p"), alice_print_picture(label="q")})
+    with pytest.raises(NormalizationError, match="more than 1 permissions") as err:
+        normalize(p, schema, max_rules=1)
+    assert err.value.kind == "normalization-blowup"
+
+
+def test_normalize_obligation_complement_mixing_components_raises(schema):
+    # the prohibition's non-pin conditions read the timestamp (rule-wide)
+    # and the page count (a refinement of Asset): negated as one block they
+    # would mix components, so the obligation cannot stay one rule
+    prohibition = bob_read_book(ts(Operator.LTEQ, 5), num(PAGES, Operator.GT, 250),
+                                label="f")
+    p = LitePolicy.of({bob_read_book(label="p")}, {prohibition},
+                      {bob_read_book(label="o")})
+    with pytest.raises(NormalizationError, match="mixes components") as err:
+        normalize(p, schema)
+    assert err.value.kind == "inexpressible-difference"
+
+
+def test_normalize_obligation_split_across_permissions_raises(schema):
+    # the obligation is permitted only in two disjoint page ranges, held by
+    # two permissions; its permitted part is no single well-formed rule
+    p = LitePolicy.of({bob_read_book(num(PAGES, Operator.LTEQ, 100), label="few"),
+                       bob_read_book(num(PAGES, Operator.GT, 200), label="many")},
+                      (), {bob_read_book(label="o")})
+    with pytest.raises(NormalizationError, match="across several permissions") as err:
+        normalize(p, schema)
+    assert err.value.kind == "inexpressible-difference"
+
+
 def test_normalize_output_obligation_survives_carving(schema):
     p = LitePolicy.of(
         {bob_read_book(label="p")},
@@ -473,6 +505,29 @@ def test_brute_force_full_policies(schema):
     assert brute_force_containment(with_duty, without, schema) is True
     assert brute_force_containment(without, with_duty, schema) is False
     assert brute_force_containment(with_duty, with_duty, schema) is True
+
+
+def test_brute_force_full_policies_with_deadline_consequence(schema):
+    # An obligation-consequence pair and a timestamp condition make the
+    # oracle add probes around the deadline and the bound.
+    from odrleval import FullPolicy
+    read = EventRule.of(eq(ACTION, "Read"), eq(ACTOR, "Bob"), ts(Operator.GTEQ, 2),
+                        label="read")
+    pay = EventRule.of(eq(ACTION, "Pay"), eq(ACTOR, "Bob"), label="pay")
+    deadline = EventRule.of(eq(ACTION, "Read"), eq(ACTOR, "Bob"), ts(Operator.LTEQ, 4),
+                            label="read-by-4")
+    lite = LitePolicy.of({read, pay})
+    owed = FullPolicy.of(lite, obligation_consequence_pairs={(deadline, pay)})
+    free = FullPolicy.of(lite)
+    rules = lite.all_rules() | {deadline}
+    plain = WitnessDomain.for_rules(schema, rules)
+    extra = WitnessDomain.for_rules(schema, rules, extra_timestamps=(7,))
+    assert [v.raw for v in plain.probes[0]] == [1, 2, 3, 4, 5]
+    assert [v.raw for v in extra.probes[0]] == [1, 2, 3, 4, 5, 7, 8]
+    # the empty world is valid without the pair and misses the deadline with it
+    assert brute_force_containment(owed, free, schema) is True
+    assert brute_force_containment(free, owed, schema) is False
+    assert brute_force_containment(owed, owed, schema) is True
 
 
 def test_containment_over_text_ordered_feature():

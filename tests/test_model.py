@@ -225,6 +225,22 @@ def test_vocabulary_long_chain_checked_without_recursion():
         ActionVocabulary.of(chain + [("a20000", "a0")])
 
 
+def test_vocabulary_cycle_named_in_sorted_order():
+    # The first cycle in sorted edge order is named, by itself: the edge
+    # leading into it is no part of the message.
+    cases = {
+        (("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")): "a -> b -> c -> a",
+        (("x", "b"), ("b", "c"), ("c", "b")): "b -> c -> b",
+        (("z", "z"),): "z -> z",
+    }
+    for edges, path in cases.items():
+        with pytest.raises(VocabularyError) as err:
+            ActionVocabulary.of(reversed(edges))
+        head = path.split(" ")[0]
+        assert str(err.value) == (
+            f"cyclic-vocabulary: action {head!r} is included in itself via {path}")
+
+
 def test_vocabulary_descendants_transitive():
     vocab = ActionVocabulary.of([("Print", "Reproduce"), ("Reproduce", "Use"),
                                  ("Display", "Play")])

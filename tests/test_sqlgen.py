@@ -23,8 +23,20 @@ from odrleval import (
     evaluate_lite,
     world_insert_sql,
 )
+from odrleval.policyio import parse_policy_document, parse_world_text
 from odrleval.sqlgen import sanitize_name
-from conftest import ACTION, ACTOR, ASSET, PAGES, RESOLUTION, eq, make_event, num, ts
+from conftest import (
+    ACTION,
+    ACTOR,
+    ASSET,
+    PAGES,
+    RESOLUTION,
+    boolean_policy_document,
+    eq,
+    make_event,
+    num,
+    ts,
+)
 
 
 def run_clauses(emitted, world, schema):
@@ -473,3 +485,55 @@ def test_integers_at_the_64_bit_bounds_agree_with_evaluator(schema):
     world = World.of(tuple(make_event(t, "Read", "Bob", "Book", pages=x)
                            for t, x in enumerate((top, top - 1, bottom, bottom + 1))))
     agree_with_evaluator(policy, world, schema)
+
+
+def test_canonical_or_xor_const_agree_with_evaluator(schema):
+    policy = parse_policy_document(boolean_policy_document(), schema)
+    queries = dict(emit_violation_queries(policy, schema).queries)
+    assert "(1=1)" in queries["permissions-violation"]
+    assert "(1=0)" in queries["prohibitions-violation"]
+    rng = Random(8)
+    for _ in range(40):
+        agree_with_evaluator(policy, random_world(rng), schema)
+
+
+@pytest.mark.parametrize("condition", [
+    SimpleCondition(NOTE, Operator.HAS_PART, Value.identifier("a'b")),
+    SimpleCondition(AMOUNT, Operator.IS_ANY_OF, Value.identifier_set({"0.5", "0"})),
+    SimpleCondition(PEER, Operator.GT, Value.identifier("a'b")),
+    SimpleCondition(NOTE, Operator.IS_A, Value.identifier("plain")),
+], ids=["hasPart-on-text", "isAnyOf-on-number", "gt-on-identifier", "isA-without-classes"])
+def test_statically_false_conditions_agree_with_evaluator(condition):
+    # These compile to a constant false; negated, they hold on every event.
+    from odrleval import Not
+    schema = extreme_schema()
+    rng = Random(5)
+    for part in (condition, Not(condition)):
+        rule = EventRule.of(eq(ACTION, "Read"), part)
+        policy = LitePolicy.of({rule}, {rule}, {rule})
+        queries = dict(emit_violation_queries(policy, schema).queries)
+        assert "(1=0)" in queries["prohibitions-violation"]
+        for _ in range(20):
+            agree_with_evaluator(policy, extreme_world(rng), schema)
+
+
+def test_nul_in_a_string_is_rejected(schema):
+    # sqlite refuses a statement holding U+0000, so none is emitted.
+    policy = LitePolicy.of({EventRule.of(eq(ACTION, "Read"), eq(ACTOR, "Ali\x00ce"))})
+    with pytest.raises(QueryEmitError, match="U\\+0000"):
+        emit_violation_queries(policy, schema)
+    world = parse_world_text(
+        "Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+        "1,Read,Ali\x00ce,Book,null,null\n", schema)
+    with pytest.raises(QueryEmitError, match="U\\+0000"):
+        world_insert_sql(world, schema)
+
+
+def test_world_insert_sql_checks_conformance(schema):
+    from odrleval import Event, WorldConformanceError
+    short = Event((Value.timestamp(1), Value.identifier("Read")))
+    wrong_kind = make_event(1, "Read", "Bob", "Book")
+    wrong_kind = Event(wrong_kind.values[:2] + (Value.number(7),) + wrong_kind.values[3:])
+    for event in (short, wrong_kind):
+        with pytest.raises(WorldConformanceError):
+            world_insert_sql(World((event,)), schema)
