@@ -287,9 +287,7 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
 
 def _domain(schema, rules, max_events=DEFAULT_MAX_EVENTS, extra_timestamps=()):
     """Well-formedness gate, then the rules' witness domain within the cap."""
-    rules = tuple(rules)
-    for r in rules:
-        require_well_formed(r, schema)
+    require_well_formed(rules, schema)
     domain = WitnessDomain.for_rules(schema, rules, extra_timestamps=extra_timestamps)
     domain.require_within(max_events)
     return domain

@@ -16,8 +16,8 @@ class SchemaError(EngineError):
     """A feature schema violates one of its structural invariants.
 
     ``kind`` is a stable machine-readable tag:
-    ``duplicate-index`` | ``bad-gamma-target`` | ``wrong-datetime-slot`` |
-    ``wrong-action-slot``.
+    ``duplicate-index`` | ``duplicate-name`` | ``bad-gamma-target`` |
+    ``wrong-datetime-slot`` | ``wrong-action-slot``.
     """
 
     def __init__(self, kind: str, feature: int | None, message: str):

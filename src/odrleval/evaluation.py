@@ -101,8 +101,7 @@ def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
 def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the lite clauses plus duties, remedies and consequences."""
     conform_world(w, s)
-    for rule in p.all_rules():
-        require_well_formed(rule, s)
+    require_well_formed(p.all_rules(), s)
     table = MatchTable(w.ordered(), s)
     events = table.events
     findings = []

@@ -33,6 +33,7 @@ from .model import (
     Xor,
     features_of,
     is_deadline,
+    ordered_rules,
 )
 
 
@@ -102,16 +103,19 @@ def check_well_formed(rule: EventRule, schema: FeatureSchema) -> WellFormednessR
     return WellFormednessReport(not violations, tuple(violations))
 
 
-def require_well_formed(rule: EventRule, schema: FeatureSchema) -> None:
-    report = check_well_formed(rule, schema)
-    if not report.ok:
+def require_well_formed(rules, schema: FeatureSchema) -> None:
+    """The well-formedness gate for a rule set: raise IllFormedRuleError
+    for the first ill-formed rule in ``ordered_rules`` order."""
+    ill = [r for r in rules if not check_well_formed(r, schema).ok]
+    if ill:
+        report = check_well_formed(ordered_rules(ill)[0], schema)
         raise IllFormedRuleError(
             "; ".join(v.render() for v in report.violations), report.violations)
 
 
 def match(rule: EventRule, e: Event, schema: FeatureSchema) -> bool:
     """True when every condition of the rule holds on the event."""
-    require_well_formed(rule, schema)
+    require_well_formed((rule,), schema)
     return match_unchecked(rule, e, schema)
 
 
@@ -162,7 +166,7 @@ def _blank_deadlines(c: Condition, positive: bool | None) -> Condition:
 def softmatch(rule: EventRule, e: Event, schema: FeatureSchema) -> bool:
     """Time-independent match: the rule with its ``<=`` timestamp deadlines
     removed, evaluated on the event."""
-    require_well_formed(rule, schema)
+    require_well_formed((rule,), schema)
     return match_unchecked(strip_deadline_conditions(rule), e, schema)
 
 

@@ -273,6 +273,7 @@ def validate_schema(schema: FeatureSchema) -> FeatureSchema:
     feats = schema.features
     if not feats:
         raise SchemaError("wrong-datetime-slot", 0, "schema declares no features")
+    names = set()
     for pos, decl in enumerate(feats):
         if not isinstance(decl, FeatureDecl):
             raise SchemaError("bad-gamma-target", pos, "feature declarations expected")
@@ -281,6 +282,12 @@ def validate_schema(schema: FeatureSchema) -> FeatureSchema:
                 "duplicate-index", decl.index,
                 f"feature indices must be unique and contiguous; "
                 f"found index {decl.index} at position {pos}")
+        if decl.name in names:
+            raise SchemaError(
+                "duplicate-name", pos,
+                f"feature names must be unique; feature {pos} repeats "
+                f"the name {decl.name!r}")
+        names.add(decl.name)
     dt = feats[TIMESTAMP_FEATURE]
     if dt.datatype is not Datatype.TIMESTAMP or dt.component is not ComponentTag.RULE:
         raise SchemaError(

@@ -20,10 +20,10 @@ import io
 import sys
 from datetime import datetime, timezone
 
-from .errors import DocumentError
+from .errors import DocumentError, IllFormedRuleError
 from .evaluation import Finding, ViolationReport
 from .comparison import ConflictVerdict
-from .matching import check_well_formed
+from .matching import require_well_formed
 from .model import (
     ActionVocabulary,
     And,
@@ -865,12 +865,10 @@ def parse_policy_document(doc: dict, schema: FeatureSchema, *,
             f"policy documents carry either format={POLICY_FORMAT!r} or an "
             f"ODRL @context")
     if enforce_well_formed:
-        for rule in ordered_rules(policy.all_rules()):
-            report = check_well_formed(rule, schema)
-            if not report.ok:
-                raise DocumentError(
-                    "ill-formed-rule",
-                    "; ".join(v.render() for v in report.violations))
+        try:
+            require_well_formed(policy.all_rules(), schema)
+        except IllFormedRuleError as exc:
+            raise DocumentError("ill-formed-rule", str(exc)) from None
     return policy
 
 

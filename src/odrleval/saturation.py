@@ -13,6 +13,8 @@ the "duties are permissions" invariant intact after saturation.
 
 from __future__ import annotations
 
+import itertools
+
 from .matching import require_well_formed, top_level_equalities
 from .model import (
     ACTION_FEATURE,
@@ -27,6 +29,7 @@ from .model import (
     SimpleCondition,
     Value,
     as_full,
+    ordered_rules,
 )
 
 
@@ -43,16 +46,22 @@ def saturate(policy: Policy, vocabulary: ActionVocabulary,
     """Add every permission implied by the vocabulary; a fixpoint, since the
     closure is already reflexive and transitive."""
     full = as_full(policy)
+    require_well_formed(full.lite.permissions, schema)
+    originals = ordered_rules(full.lite.permissions)
     expansion = {}    # permission -> its specialized copies (original included)
-    for tau in full.lite.permissions:
-        require_well_formed(tau, schema)
+    for tau in originals:
         pin, = top_level_equalities(tau)[ACTION_FEATURE]
         action = pin.value.raw
         expansion[tau] = [tau] + [
             _specialize(tau, pin, sub)
             for sub in sorted(vocabulary.descendants_of(action) - {action})]
+    # Equal rules may carry different labels: keep the first met, the
+    # originals in canonical order before any copy.
+    kept = {}
+    for rule in itertools.chain(originals, *expansion.values()):
+        kept.setdefault(rule, rule)
     lite = LitePolicy.of(
-        permissions=(c for copies in expansion.values() for c in copies),
+        permissions=kept.values(),
         prohibitions=full.lite.prohibitions,
         obligations=full.lite.obligations,
     )
@@ -62,5 +71,7 @@ def saturate(policy: Policy, vocabulary: ActionVocabulary,
         if pairing.lead is None:
             # A tuple led by a permission follows it: one copy per specialization.
             tuples = {(copy, *t[1:]) for t in tuples for copy in expansion[t[0]]}
-        pairs[pairing.field] = tuples
+        pairs[pairing.field] = {
+            tuple(r if pairing.is_lead(j) else kept[r] for j, r in enumerate(t))
+            for t in tuples}
     return FullPolicy(lite, **pairs) if isinstance(policy, FullPolicy) else lite

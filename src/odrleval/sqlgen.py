@@ -256,8 +256,7 @@ def emit_violation_queries(policy: Policy, schema: FeatureSchema) -> EmittedQuer
     clauses, compiled as self-joins on the event table with timestamp
     predicates."""
     p = as_full(policy)
-    for r in p.all_rules():
-        require_well_formed(r, schema)
+    require_well_formed(p.all_rules(), schema)
     comp = _Compiler(schema)
     ts = _q(comp.cols[TIMESTAMP_FEATURE])
 

@@ -3,6 +3,11 @@ print/read policy exercised throughout the suite."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from odrleval import (
@@ -21,6 +26,8 @@ from odrleval import (
     Value,
     World,
 )
+
+TESTS = Path(__file__).resolve().parent
 
 # Feature indices of the demo schema.
 DATETIME, ACTION, ACTOR, ASSET, RESOLUTION, PAGES = range(6)
@@ -179,3 +186,17 @@ def o1() -> EventRule:
 @pytest.fixture
 def example_policy(p1, f1, o1) -> LitePolicy:
     return LitePolicy.of({p1}, {f1}, {o1})
+
+
+def under_hash_seeds(code: str, seeds=("1", "2", "3")) -> list:
+    """The stdout of ``python -c code`` under each ``PYTHONHASHSEED``, with
+    the package and this directory importable."""
+    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")]
+    outs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outs.append(done.stdout)
+    return outs

@@ -303,6 +303,24 @@ def test_malformed_schema_exits_2_with_error_object(capsys, tmp_path, key, value
     assert json.loads(err)["error"] == kind
 
 
+def test_duplicate_feature_name_exits_2(capsys, tmp_path):
+    doc = json.loads((DEMO / "schema.json").read_text())
+    doc["features"] += [
+        {"index": 6, "name": "X", "datatype": "numeric", "component": "rule"},
+        {"index": 7, "name": "X", "datatype": "string", "component": "rule"}]
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    world = tmp_path / "world.csv"
+    world.write_text("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages,X,X\n"
+                     "1,Print,Alice,Picture,500,null,5,hello\n")
+    code, out, err = run(capsys, "evaluate", "--policy", str(DEMO / "policy.json"),
+                         "--world", str(world), "--schema", str(schema))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "SchemaError",
+        "message": "feature names must be unique; feature 7 repeats the name 'X'"}
+
+
 @pytest.mark.parametrize("policy, path, value", [
     ("policy.json", ("permission", 0, "uid"), 5),
     ("policy.json", ("prohibition", 0, "uid"), [True]),

@@ -24,6 +24,7 @@ from odrleval import (
     NormalizationError,
     Not,
     Operator,
+    SimpleCondition,
     Value,
     WitnessDomain,
     asymmetric_conflict,
@@ -431,6 +432,21 @@ def test_domain_cap_message_names_probe_counts(schema):
         "Actor 1 × Asset 3 × Print.Resolution 122 × Book.Pages 122), "
         "cap is 89303")
     assert rule_contains(rule, rule, schema, max_events=89_304)
+
+
+def test_fresh_atom_avoids_mentioned_names():
+    # Rules may mention the names the domain uses for "any other value"; the
+    # fresh probe must still differ from every mentioned value.
+    schema = strategies.tagged_schema()
+    other = EventRule.of(eq(ACTION, "Read"), eq(ACTOR, "~other-Actor"))
+    probes = WitnessDomain.for_rules(schema, [other]).probes[ACTOR]
+    assert {Value.identifier("~other-Actor"), Value.identifier("~other-Actor'")} <= set(probes)
+    # Tags holding ~other-Tags and something else needs a second atom.
+    atom = Value.identifier_set(["~other-Tags"])
+    wider = EventRule.of(
+        eq(ACTION, "Read"), SimpleCondition(strategies.TAGS, Operator.HAS_PART, atom),
+        Not(SimpleCondition(strategies.TAGS, Operator.IS_PART_OF, atom)))
+    assert rule_satisfiable(wider, schema)
 
 
 def test_set_atom_cap_raises():

@@ -9,6 +9,7 @@ import strategies
 from odrleval import (
     And,
     ComponentTag,
+    Constant,
     Datatype,
     Event,
     FeatureDecl,
@@ -23,6 +24,8 @@ from odrleval import (
     desugar_xor,
     eval_complex,
     eval_simple,
+    negate,
+    simplify,
 )
 from conftest import ACTOR, DATETIME, PAGES, RESOLUTION, make_event, num, ts
 
@@ -135,6 +138,37 @@ def test_desugar_preserves_evaluation(c, e):
     schema = __import__("conftest").make_schema()
     assert (eval_complex(desugar_xor(c), e, schema)
             == eval_complex(c, e, schema))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.tagged_conditions(), strategies.tagged_events())
+def test_negate_and_simplify_preserve_evaluation(c, e):
+    # tagged conditions hold truth constants and negations at any depth
+    schema = strategies.tagged_schema()
+    truth = eval_complex(c, e, schema)
+    assert eval_complex(negate(c), e, schema) is not truth
+    folded = simplify(c)
+    assert eval_complex(folded, e, schema) is truth
+    assert isinstance(folded, Constant) or not _has_constant(folded)
+
+
+def test_negate_collapses_negation_and_constants():
+    c = num(RESOLUTION, Operator.GT, 300)
+    assert negate(Not(c)) is c
+    assert negate(Constant(True)) == Constant(False)
+    assert negate(c) == Not(c)
+
+
+def _has_constant(c) -> bool:
+    if isinstance(c, Constant):
+        return True
+    if isinstance(c, (And, Or)):
+        return any(map(_has_constant, c.parts))
+    if isinstance(c, Not):
+        return _has_constant(c.part)
+    if isinstance(c, Xor):
+        return _has_constant(c.left) or _has_constant(c.right)
+    return False
 
 
 # -- set and class operators -------------------------------------------------

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 import strategies
 from odrleval import (
+    ComponentTag,
+    Datatype,
     Event,
     EventRule,
+    FeatureDecl,
+    FeatureSchema,
     IllFormedRuleError,
     Not,
     Operator,
     Or,
     RULE_WIDE,
     SimpleCondition,
+    Value,
     WitnessDomain,
     World,
     check_well_formed,
@@ -36,8 +41,10 @@ from conftest import (
     bounds_rule,
     eq,
     make_event,
+    make_schema,
     num,
     ts,
+    under_hash_seeds,
 )
 
 
@@ -139,6 +146,30 @@ def test_match_example_matrix(schema, p1, f1, o1, e1, e2, e3):
 def test_match_requires_well_formed(schema, e1):
     with pytest.raises(IllFormedRuleError):
         match(EventRule.of(eq(ACTOR, "Alice")), e1, schema)
+
+
+def test_gate_names_first_ill_formed_rule_in_canonical_order():
+    # Six rules without an action pin; each entry point must name bad0,
+    # whatever order the hash seed gives the policy's frozensets.
+    code = """
+from conftest import ACTOR, eq, make_schema
+from odrleval import (EMPTY_VOCABULARY, EventRule, IllFormedRuleError, LitePolicy,
+                      World, emit_violation_queries, evaluate_lite, is_consistent,
+                      normalize, saturate)
+schema = make_schema()
+p = LitePolicy.of([EventRule.of(eq(ACTOR, f"a{k}"), label=f"bad{k}") for k in range(6)])
+for call in (lambda: evaluate_lite(p, World.of(()), schema),
+             lambda: is_consistent(p, schema),
+             lambda: normalize(p, schema),
+             lambda: emit_violation_queries(p, schema),
+             lambda: saturate(p, EMPTY_VOCABULARY, schema)):
+    try:
+        call()
+    except IllFormedRuleError as exc:
+        print(exc)
+"""
+    expected = "rule bad0: well-formedness item 1 violated by features [1]\n" * 5
+    assert under_hash_seeds(code) == [expected] * 3
 
 
 def test_softmatch_keeps_strict_deadline(schema, o1, e2):
@@ -251,6 +282,25 @@ def test_domain_table_equals_listed_table_with_classes(conditions):
     # isA reads two features: the condition's own and its class feature
     assert_domain_table_equals_listed(
         [EventRule(frozenset(conditions))], strategies.tagged_schema())
+
+
+def test_domain_table_with_class_feature_declared_first():
+    # isA on Actor (3) reads Tags (2), a feature declared before its own.
+    base = make_schema().features
+    schema = FeatureSchema(base[:2] + (
+        FeatureDecl(2, "Tags", Datatype.IDENTIFIER_SET, ComponentTag.RULE),
+        FeatureDecl(3, "Actor", Datatype.IDENTIFIER, ComponentTag.PARTY,
+                    party_role="assignee", class_feature=2)))
+
+    def is_a(*classes):
+        return SimpleCondition(3, Operator.IS_A, Value.identifier_set(classes))
+    rules = [
+        EventRule.of(eq(ACTION, "Read"), is_a("Staff"), Not(is_a("Guest"))),
+        EventRule.of(eq(ACTION, "Read"), eq(3, "Bob"),
+                     SimpleCondition(2, Operator.HAS_PART,
+                                     Value.identifier_set(["Guest"]))),
+    ]
+    assert_domain_table_equals_listed(rules, schema)
 
 
 def test_domain_table_lists_no_events(schema, monkeypatch):

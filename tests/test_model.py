@@ -88,6 +88,19 @@ def test_noncontiguous_indices_rejected():
     assert err.value.kind == "duplicate-index"
 
 
+def test_duplicate_feature_name_rejected():
+    with pytest.raises(SchemaError) as err:
+        FeatureSchema((
+            FeatureDecl(0, "Datetime", Datatype.TIMESTAMP, ComponentTag.RULE),
+            FeatureDecl(1, "Action", Datatype.IDENTIFIER, ComponentTag.ACTION),
+            FeatureDecl(2, "X", Datatype.NUMERIC, ComponentTag.RULE),
+            FeatureDecl(3, "X", Datatype.STRING, ComponentTag.RULE),
+        ))
+    assert err.value.kind == "duplicate-name"
+    assert err.value.feature == 3
+    assert "'X'" in str(err.value)
+
+
 def test_feature_component_refinement(schema):
     assert feature_component(schema, 5) == ASSET      # Book.Pages refines Asset
     assert feature_component(schema, 4) == 1          # Print.Resolution refines Action

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import strategies
 from odrleval import DocumentError, FullPolicy, LitePolicy, NULL, Operator
 from odrleval.policyio import (
     MAX_NESTING_DEPTH,
@@ -31,8 +32,9 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 # -- schema -------------------------------------------------------------------
 
 def test_schema_document_round_trip(schema):
-    doc = schema_to_document(schema)
-    assert parse_schema_document(doc) == schema
+    # the tagged schema adds the classes and classFeature fields
+    for s in (schema, strategies.tagged_schema()):
+        assert parse_schema_document(schema_to_document(s)) == s
 
 
 def test_demo_schema_file_matches_fixture(schema):
@@ -316,6 +318,64 @@ def test_odrl_and_sequence_rejected(schema):
         parse_policy_document(doc, schema)
     assert err.value.kind == "unsupported-operator"
     assert "andSequence" in str(err.value)
+
+
+def _one_permission(constraint, schema):
+    """The rule of an ODRL policy whose one permission carries ``constraint``."""
+    doc = {"@context": "http://www.w3.org/ns/odrl.jsonld",
+           "permission": [{"assignee": "Alice", "action": "Print",
+                           "target": "Picture", "constraint": [constraint]}]}
+    (rule,) = parse_policy_document(doc, schema).permissions
+    return rule
+
+
+def _bound(op, value, left="Datetime"):
+    return {"leftOperand": left, "operator": op, "rightOperand": value}
+
+
+def _canonical_bound(op, value):
+    return {"feature": "Datetime", "op": op, "value": value}
+
+
+@pytest.mark.parametrize("constraint, condition", [
+    ({"or": [_bound("lteq", 1), _bound("gteq", 3)]},
+     {"or": [_canonical_bound("lteq", 1), _canonical_bound("gteq", 3)]}),
+    ({"xone": [_bound("lteq", 1), _bound("gteq", 3)]},
+     {"xor": [_canonical_bound("lteq", 1), _canonical_bound("gteq", 3)]}),
+    ({"xone": {"@list": [_bound("lt", 2), _bound("neq", 4)]}},
+     {"xor": [_canonical_bound("lt", 2), _canonical_bound("neq", 4)]}),
+    ({"and": {"@list": [_bound("gt", 0), _bound("lt", 9)]}},
+     {"and": [_canonical_bound("gt", 0), _canonical_bound("lt", 9)]}),
+    (_bound("lteq", {"@value": 5}, left={"@id": "Datetime"}),
+     _canonical_bound("lteq", 5)),
+    (_bound("odrl:gteq", 2), _canonical_bound("gteq", 2)),
+    (_bound("http://www.w3.org/ns/odrl/2/eq", 3), _canonical_bound("eq", 3)),
+], ids=["or", "xone", "xone-list", "and-list", "value-and-id-nodes",
+        "odrl-prefix", "iri-prefix"])
+def test_odrl_constraint_matches_canonical(schema, constraint, condition):
+    canonical = {"format": "policy/1", "kind": "lite", "permissions": [
+        {"label": "p", "conditions": [
+            {"feature": "Actor", "op": "eq", "value": "Alice"},
+            {"feature": "Action", "op": "eq", "value": "Print"},
+            {"feature": "Asset", "op": "eq", "value": "Picture"}, condition]}]}
+    (expected,) = parse_policy_document(canonical, schema).permissions
+    assert _one_permission(constraint, schema) == expected
+
+
+@pytest.mark.parametrize("constraint, kind, text", [
+    ({"xone": [_bound("lt", 1), _bound("lt", 2), _bound("lt", 3)]},
+     "unsupported-operator", "exactly two operands"),
+    (_bound("andSequence", 5), "unsupported-operator", "semantics are unspecified"),
+    (_bound("odrl:andSequence", 5), "unsupported-operator", "semantics are unspecified"),
+    (_bound("lteq", [1, 2]), "unparsable-value", "list right operand"),
+    (5, "bad-format", "constraint must be an object"),
+], ids=["xone-of-three", "and-sequence-operator", "and-sequence-prefixed",
+        "list-with-scalar-operator", "not-an-object"])
+def test_odrl_constraint_rejected(schema, constraint, kind, text):
+    with pytest.raises(DocumentError) as err:
+        _one_permission(constraint, schema)
+    assert err.value.kind == kind
+    assert text in str(err.value)
 
 
 def test_odrl_empty_policy(schema):

@@ -13,7 +13,7 @@ from odrleval import (
     evaluate_lite,
     saturate,
 )
-from conftest import ACTION, ACTOR, ASSET, eq, make_event
+from conftest import ACTION, ACTOR, ASSET, eq, make_event, under_hash_seeds
 
 
 def play_policy():
@@ -96,6 +96,35 @@ def test_duty_pairs_follow_their_permission(schema):
     # consequence unchanged
     assert out.duty_consequence_triples == {
         (perm, duty, fine), (display_copy, duty, fine)}
+
+
+def test_saturation_keeps_one_label_under_every_hash_seed():
+    # p1@Transform@Annotate equals p1@Annotate, and p1@Play@Stream equals
+    # p1@Stream: the copy of the canonically first original is kept, and the
+    # duty pair points at that kept permission.
+    code = """
+from conftest import ACTION, ACTOR, eq, make_schema
+from odrleval import ActionVocabulary, EventRule, FullPolicy, LitePolicy, saturate
+from odrleval.policyio import policy_to_document
+schema = make_schema()
+vocab = ActionVocabulary.of([("Annotate", "Transform"), ("Transform", "Use"),
+                             ("Stream", "Play"), ("Play", "Use")])
+def rule(action, label):
+    return EventRule.of(eq(ACTION, action), eq(ACTOR, "Alice"), label=label)
+transform, pay = rule("Transform", "p1@Transform"), rule("Pay", "pay")
+policy = FullPolicy.of(
+    LitePolicy.of([rule("Use", "p1"), transform, rule("Play", "p1@Play"), pay]),
+    duty_pairs=[(transform, pay)])
+once = saturate(policy, vocab, schema)
+twice = saturate(once, vocab, schema)
+print(sorted(r.label for r in once.lite.permissions))
+print(sorted(t[0].label for t in once.duty_pairs))
+print(policy_to_document(twice, schema) == policy_to_document(once, schema))
+"""
+    expected = ("['p1', 'p1@Annotate', 'p1@Play', 'p1@Stream', 'p1@Transform', 'pay']\n"
+                "['p1@Annotate', 'p1@Transform']\n"
+                "True\n")
+    assert under_hash_seeds(code, seeds=("1", "2", "3", "4")) == [expected] * 4
 
 
 def test_saturated_display_event_becomes_permitted(schema):
