@@ -31,21 +31,27 @@ from .saturation import saturate
 from .sqlgen import emit_violation_queries
 
 
-def _read_json(path: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DocumentError("io-error", f"no such file: {path}", location=path)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DocumentError(
-            "bad-format", f"{path} is not valid JSON: {exc}", location=path)
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DocumentError("io-error", f"no such file: {path}", location=path)
+    except OSError as exc:
+        raise DocumentError("io-error", f"cannot read {path}: {exc.strerror or exc}",
+                            location=path)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            "bad-format", f"{path} is not valid UTF-8 (byte offset {exc.start})",
+            location=path)
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DocumentError(
+            "bad-format", f"{path} is not valid JSON: {exc}", location=path)
 
 
 def _emit(doc) -> None:
@@ -106,13 +112,18 @@ def _cmd_emit_query(args) -> int:
     schema, policy = _load_common(args)
     emitted = emit_violation_queries(policy, schema)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ddl.sql").write_text(emitted.ddl, encoding="utf-8")
     manifest = {"dialect": emitted.dialect, "ddl": "ddl.sql", "queries": {}}
-    for name, sql in emitted.queries:
-        filename = f"{name}.sql"
-        (out_dir / filename).write_text(sql + "\n", encoding="utf-8")
-        manifest["queries"][name] = filename
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "ddl.sql").write_text(emitted.ddl, encoding="utf-8")
+        for name, sql in emitted.queries:
+            filename = f"{name}.sql"
+            (out_dir / filename).write_text(sql + "\n", encoding="utf-8")
+            manifest["queries"][name] = filename
+    except OSError as exc:
+        raise DocumentError(
+            "io-error", f"cannot write to {out_dir}: {exc.strerror or exc}",
+            location=str(out_dir))
     _emit(manifest)
     return 0
 

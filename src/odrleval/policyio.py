@@ -8,9 +8,10 @@ context fetching, no general JSON-LD expansion. Documents outside the
 profile are rejected with a precise diagnostic rather than half-read.
 
 World logs are delimiter-separated text: a header row of feature names, one
-row per event, the literal token ``null`` for unspecified values, and ``|``
-between the members of a set value. Timestamps may be integer ticks or
-ISO-8601 strings (converted to epoch seconds, UTC assumed when naive).
+row per event, the literal token ``null`` for unspecified values (never for
+the timestamp or the action), and ``|`` between the members of a set value.
+Timestamps may be integer ticks or ISO-8601 strings (converted to epoch
+seconds, UTC assumed when naive).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .evaluation import Finding, ViolationReport
 from .comparison import ConflictVerdict
 from .matching import require_well_formed
 from .model import (
+    ACTION_FEATURE,
     ActionVocabulary,
     And,
     ComponentTag,
@@ -46,6 +48,7 @@ from .model import (
     RULE_WIDE,
     SCALAR_OPERATORS,
     SimpleCondition,
+    TIMESTAMP_FEATURE,
     Value,
     World,
     Xor,
@@ -240,18 +243,19 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
     if datatype is Datatype.NUMERIC:
         if isinstance(raw, bool):
             raise DocumentError("unparsable-value", f"{where}: boolean number")
+        number = raw
         if isinstance(raw, str):
             try:
-                raw = int(raw)
+                number = int(raw)
             except ValueError:
                 try:
-                    raw = float(raw)
+                    number = float(raw)
                 except ValueError as exc:
                     raise DocumentError(
                         "unparsable-value", f"{where}: {raw!r} is not numeric",
                         location=where) from exc
-        if isinstance(raw, (int, float)) and abs(raw) <= sys.float_info.max:
-            return Value.number(raw)
+        if isinstance(number, (int, float)) and abs(number) <= sys.float_info.max:
+            return Value.number(number)
     if datatype is Datatype.STRING and isinstance(raw, str):
         return Value.text(raw)
     if datatype is Datatype.IDENTIFIER and isinstance(raw, str):
@@ -280,12 +284,39 @@ def value_to_json(v: Value):
 # World documents (delimiter-separated text)
 # ---------------------------------------------------------------------------
 
+def _records(reader):
+    """``(row index, row)`` for each record left in ``reader``. A record the
+    csv module cannot read, such as one with a field over its size limit,
+    raises DocumentError naming its row."""
+    row_index = 0
+    try:
+        for row in reader:
+            yield row_index, row
+            row_index += 1
+    except csv.Error as exc:
+        raise DocumentError("bad-format", f"row {row_index}: {exc}",
+                            location=f"row {row_index}") from exc
+
+
+def _parse_cell(cell: str, decl: FeatureDecl, row_index: int) -> Value:
+    where = f"row {row_index}, column {decl.name}"
+    if cell == "null":
+        # only the timestamp and action columns get here: every event has both
+        raise DocumentError(
+            "unparsable-value", f"{where}: {decl.name} may not be null",
+            location=where)
+    return parse_value(cell, decl.datatype, where)
+
+
 def parse_world_text(text: str, schema: FeatureSchema) -> World:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise DocumentError("header-mismatch", "world log has no header row")
+    except csv.Error as exc:
+        raise DocumentError("bad-format", f"header row: {exc}",
+                            location="header row") from exc
     header = [h.strip() for h in header]
     expected = [d.name for d in schema.features]
     if sorted(header) != sorted(expected) or len(header) != len(expected):
@@ -293,10 +324,16 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
             "header-mismatch",
             f"header {header} does not bijectively map to schema features "
             f"{expected}")
-    order = [header.index(name) for name in expected]
+    # One dictionary per column maps stripped cell text to its parsed value,
+    # so each distinct cell is parsed once and events share their values. A
+    # failure is never stored: the first bad cell in row-major order raises.
+    columns = [(header.index(decl.name), decl,
+                {} if decl.index in (TIMESTAMP_FEATURE, ACTION_FEATURE)
+                else {"null": NULL})
+               for decl in schema.features]
 
     events = []
-    for row_index, row in enumerate(reader):
+    for row_index, row in _records(reader):
         if not row or (len(row) == 1 and row[0].strip() == ""):
             continue
         if len(row) != len(expected):
@@ -306,13 +343,12 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
                 f"{len(expected)}-feature schema",
                 location=f"row {row_index}")
         values = []
-        for decl, src in zip(schema.features, order):
+        for src, decl, parsed in columns:
             cell = row[src].strip()
-            where = f"row {row_index}, column {decl.name}"
-            if cell == "null":
-                values.append(NULL)
-            else:
-                values.append(parse_value(cell, decl.datatype, where))
+            value = parsed.get(cell)
+            if value is None:
+                value = parsed[cell] = _parse_cell(cell, decl, row_index)
+            values.append(value)
         events.append(Event(tuple(values)))
     # each cell was read with its column's datatype: the events conform
     return World(frozenset(events))

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
-from odrleval import DocumentError, FullPolicy, LitePolicy, NULL, Operator
+from odrleval import (
+    ComponentTag,
+    DocumentError,
+    Event,
+    FeatureDecl,
+    FeatureSchema,
+    FullPolicy,
+    LitePolicy,
+    NULL,
+    Operator,
+    Value,
+    World,
+)
 from odrleval.policyio import (
     MAX_NESTING_DEPTH,
     event_to_object,
@@ -24,7 +40,8 @@ from odrleval.policyio import (
 )
 from odrleval.model import Datatype
 from conftest import (
-    ACTION, ACTOR, RESOLUTION, eq, make_f1, make_o1, make_p1, not_chain, ts)
+    ACTION, ACTOR, PAGES, RESOLUTION, eq, make_f1, make_o1, make_p1, make_schema,
+    not_chain, ts)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -129,13 +146,17 @@ def test_world_unparsable_value_has_coordinates(schema):
     assert "Print.Resolution" in str(err.value)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "9" * 400])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999", "1e400",
+                                  "9" * 400])
 def test_world_non_finite_number_rejected(schema, cell):
     text = ("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
             f"1,Print,Alice,Picture,{cell},null\n")
     with pytest.raises(DocumentError) as err:
         parse_world_text(text, schema)
     assert err.value.kind == "unparsable-value"
+    # the message quotes the cell as written, not the number it overflowed to
+    assert str(err.value) == (f"row 0, column Print.Resolution: {cell!r} does "
+                              f"not fit datatype numeric")
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999", "-" + "9" * 400])
@@ -166,6 +187,136 @@ def test_world_duplicate_rows_collapse(schema):
             "1,Print,Alice,Picture,500,null\n"
             "1,Print,Alice,Picture,500,null\n")
     assert len(parse_world_text(text, schema)) == 1
+
+
+WORLD_HEADER = "Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+
+
+def _log(*rows: str) -> str:
+    return WORLD_HEADER + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("row, column", [
+    ("null,Read,Bob,Book,null,null", "Datetime"),
+    ("1,null,Bob,Book,null,null", "Action"),
+    ("1, null ,Bob,Book,null,null", "Action"),
+])
+def test_world_null_timestamp_or_action_names_its_cell(schema, row, column):
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(_log("1,Read,Bob,Book,null,null", row), schema)
+    assert err.value.kind == "unparsable-value"
+    assert err.value.location == f"row 1, column {column}"
+
+
+def test_world_field_over_csv_limit_names_its_row(schema):
+    text = _log("1,Read,Bob,Book,null,null", "2,Read," + "B" * 200_000 + ",Book,null,null")
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(text, schema)
+    assert err.value.kind == "bad-format"
+    assert err.value.location == "row 1"
+    with pytest.raises(DocumentError) as err:
+        parse_world_text("B" * 200_000 + "\n", schema)
+    assert err.value.kind == "bad-format"
+
+
+def test_world_parse_builds_one_value_per_distinct_cell(schema, monkeypatch):
+    built = []
+    post_init = Value.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Value, "__post_init__", counting)
+    rows = [f"{t % 5},{('Print', 'Read')[t % 2]},{' Alice' if t % 3 else 'Alice'},"
+            f"Book,{100 * (t % 4)},{'null' if t % 2 else '5.0'}" for t in range(40)]
+    world = parse_world_text(_log(*rows), schema)
+    distinct = {(column, cell.strip()) for row in rows
+                for column, cell in enumerate(row.split(",")) if cell != "null"}
+    assert len(world) == 20
+    assert len(built) <= len(distinct)
+
+
+def test_world_repeated_cells_share_values_and_keep_their_type(schema):
+    world = parse_world_text(_log("1,Read,Bob,Book,null,5", "2,Read,Bob,Book,null,5.0",
+                                  "3,Read,Bob,Book,null,5"), schema)
+    pages = {e.timestamp: e.value(PAGES) for e in world.events}
+    assert type(pages[1].raw) is int and type(pages[2].raw) is float
+    assert pages[1] is pages[3]
+
+
+def test_world_columns_do_not_share_parsed_cells(schema):
+    world = parse_world_text(_log("1,Read,x,Book,null,null", "2,Read,x,Book,null,null"),
+                             schema)
+    first, second = (e.value(ACTOR) for e in world.events)
+    assert first is second
+    # x is an identifier under Actor but not a number under Book.Pages
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(_log("1,Read,x,Book,null,null", "2,Read,Bob,Book,null,x"),
+                         schema)
+    assert err.value.kind == "unparsable-value"
+    assert err.value.location == "row 1, column Book.Pages"
+
+
+@pytest.mark.parametrize("prefix", [0, 2])
+def test_world_first_bad_cell_raises_in_row_major_order(schema, prefix):
+    # a bad text repeated later in its column, and a bad cell in a column to
+    # the left on a later row: the first bad cell in row-major order raises
+    rows = ["1,Read,Bob,Book,500,500"] * prefix + [
+        "2,Read,Bob,Book,500,many", "3,Read,Bob,Book,many,many", "4,Read,Bob,Book,500,many"]
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(_log(*rows), schema)
+    where = f"row {prefix}, column Book.Pages"
+    assert (err.value.kind, err.value.location) == ("unparsable-value", where)
+    assert str(err.value) == f"{where}: 'many' is not numeric"
+
+
+# The demo features plus one identifier-set and one string feature, so every
+# datatype has a column.
+WIDE_SCHEMA = FeatureSchema(make_schema().features + (
+    FeatureDecl(6, "Purpose", Datatype.IDENTIFIER_SET, ComponentTag.RULE),
+    FeatureDecl(7, "Region", Datatype.STRING, ComponentTag.RULE),
+))
+# Cells per column: equal values written differently, padding and nulls.
+WIDE_CELLS = (
+    ("1", " 2", "5", "1970-01-01T00:00:05", "1970-01-01T00:00:05+00:00"),
+    ("Print", "Read", " Read "),
+    ("Alice", "Bob", "null", " null", ""),
+    ("Book", "Picture", "null"),
+    ("5", "5.0", " 5", "-1", "1.5", "1e3", "null"),
+    ("0", "450", "450.0", "null"),
+    ("a|b", "b|a", "a", "", "|", "null"),
+    ("EU", "north, east", " EU", "", "null"),
+)
+
+
+def _reference_world(rows, schema) -> World:
+    """Each cell read on its own with ``parse_value``."""
+    events = []
+    for row_index, row in enumerate(rows):
+        values = []
+        for decl, cell in zip(schema.features, row):
+            cell = cell.strip()
+            where = f"row {row_index}, column {decl.name}"
+            values.append(NULL if cell == "null"
+                          else parse_value(cell, decl.datatype, where))
+        events.append(Event(tuple(values)))
+    return World(frozenset(events))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*(st.sampled_from(cells) for cells in WIDE_CELLS)),
+                max_size=30))
+def test_world_parse_matches_per_cell_reference(rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([d.name for d in WIDE_SCHEMA.features])
+    writer.writerows(rows)
+    world = parse_world_text(out.getvalue(), WIDE_SCHEMA)
+    reference = _reference_world(rows, WIDE_SCHEMA)
+    assert world == reference
+    assert world_to_text(world, WIDE_SCHEMA) == world_to_text(reference, WIDE_SCHEMA)
+    assert parse_world_text(world_to_text(world, WIDE_SCHEMA), WIDE_SCHEMA) == world
 
 
 def test_iso_timestamps_map_to_epoch_seconds():

@@ -75,8 +75,25 @@ def _source(name: str) -> Path:
     return GOLDEN / name if name.startswith("full-") else DEMO / name
 
 
+def call(argv) -> dict | None:
+    """Run one CLI call: it must exit 0 or 1, or exit 2 with an error object
+    on stderr, which is returned."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    if code == 2:
+        error = json.loads(err.getvalue())
+        assert isinstance(error["error"], str) and isinstance(error["message"], str)
+        assert out.getvalue() == "", argv
+        return error
+    assert code in (0, 1), argv
+    return None
+
+
 def run_all(tmp: Path, policy=DEMO / "policy.json", schema=DEMO / "schema.json",
-            vocab=DEMO / "vocabulary.json", world=DEMO / "world.csv") -> None:
+            vocab=DEMO / "vocabulary.json", world=DEMO / "world.csv") -> list:
+    """Every subcommand over the given inputs; the error objects of the calls
+    that exit 2."""
     common = ("--schema", str(schema))
     calls = (
         ("check", "--policy", str(policy), *common),
@@ -91,16 +108,7 @@ def run_all(tmp: Path, policy=DEMO / "policy.json", schema=DEMO / "schema.json",
         ("saturate", "--policy", str(policy), "--vocab", str(vocab), *common),
         ("emit-query", "--policy", str(policy), *common, "--out-dir", str(tmp / "sql")),
     )
-    for argv in calls:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-        if code == 2:
-            error = json.loads(err.getvalue())
-            assert isinstance(error["error"], str) and isinstance(error["message"], str)
-            assert out.getvalue() == "", argv
-        else:
-            assert code in (0, 1), argv
+    return [error for error in map(call, calls) if error is not None]
 
 
 def _write(path: Path, doc) -> Path:
@@ -154,6 +162,7 @@ FIXED_LOGS = {
     "pages-past-2-53": PAGES_HEADER + "".join(
         f"1,Read,Bob,Book,null,{2 ** 53 + k}\n" for k in range(6)),
     "pages-past-float-range": PAGES_HEADER + f"1,Read,Bob,Book,null,{'9' * 400}\n",
+    "field-over-csv-limit": PAGES_HEADER + f"1,Read,{'B' * 200_000},Book,null,null\n",
 }
 
 
@@ -171,3 +180,30 @@ def test_long_vocabulary_chain_never_raises(tmp_path):
     chain = {"format": "action-vocabulary/1",
              "includedIn": [[f"a{i}", f"a{i + 1}"] for i in range(3000)]}
     run_all(tmp_path, vocab=_write(tmp_path / "vocab.json", chain))
+
+
+@pytest.mark.parametrize("role", ["policy", "schema", "vocab", "world"])
+@pytest.mark.parametrize("case, kind", [("non-utf8", "bad-format"),
+                                        ("directory", "io-error")])
+def test_unreadable_input_file_exits_2(tmp_path, role, case, kind):
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"format": "\xff"}\n')
+    baseline = run_all(tmp_path)  # the demo's provider needs --normalize
+    errors = [e for e in run_all(tmp_path, **{role: path}) if e not in baseline]
+    assert errors
+    for error in errors:
+        assert (error["error"], error["location"]) == (kind, str(path))
+    if case == "non-utf8":
+        assert "byte offset 12" in errors[0]["message"]
+
+
+def test_emit_query_into_a_file_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "sql"):
+        error = call(("emit-query", "--policy", str(DEMO / "policy.json"),
+                      "--schema", str(DEMO / "schema.json"), "--out-dir", str(out_dir)))
+        assert (error["error"], error["location"]) == ("io-error", str(out_dir))
