@@ -35,14 +35,12 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise DocumentError("io-error", f"no such file: {path}", location=path)
+        raise DocumentError("io-error", "no such file", path)
     except OSError as exc:
-        raise DocumentError("io-error", f"cannot read {path}: {exc.strerror or exc}",
-                            location=path)
+        raise DocumentError("io-error", f"cannot read: {exc.strerror or exc}", path)
     except UnicodeDecodeError as exc:
         raise DocumentError(
-            "bad-format", f"{path} is not valid UTF-8 (byte offset {exc.start})",
-            location=path)
+            "bad-format", f"not valid UTF-8 (byte offset {exc.start})", path)
 
 
 def _read_json(path: str):
@@ -50,8 +48,7 @@ def _read_json(path: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DocumentError(
-            "bad-format", f"{path} is not valid JSON: {exc}", location=path)
+        raise DocumentError("bad-format", f"not valid JSON: {exc}", path)
 
 
 def _emit(doc) -> None:
@@ -122,8 +119,7 @@ def _cmd_emit_query(args) -> int:
             manifest["queries"][name] = filename
     except OSError as exc:
         raise DocumentError(
-            "io-error", f"cannot write to {out_dir}: {exc.strerror or exc}",
-            location=str(out_dir))
+            "io-error", f"cannot write: {exc.strerror or exc}", str(out_dir))
     _emit(manifest)
     return 0
 

@@ -85,11 +85,13 @@ class DocumentError(EngineError):
 
     ``kind`` carries the stable error tag (``unknown-left-operand``,
     ``unsupported-operator``, ``header-mismatch``, ...); ``location`` is a
-    human-readable pointer into the document (row/column, JSON path).
+    human-readable pointer into the document (row/column, JSON path). The
+    message is ``message`` itself, or ``"<location>: <message>"`` when a
+    location is given, so callers pass the bare text and never its place.
     """
 
     def __init__(self, kind: str, message: str, location: str | None = None):
-        super().__init__(message)
+        super().__init__(message if location is None else f"{location}: {message}")
         self.kind = kind
         self.location = location
 

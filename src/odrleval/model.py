@@ -277,7 +277,7 @@ def validate_schema(schema: FeatureSchema) -> FeatureSchema:
     for pos, decl in enumerate(feats):
         if not isinstance(decl, FeatureDecl):
             raise SchemaError("bad-gamma-target", pos, "feature declarations expected")
-        if decl.index != pos:
+        if type(decl.index) is not int or decl.index != pos:
             raise SchemaError(
                 "duplicate-index", decl.index,
                 f"feature indices must be unique and contiguous; "
@@ -308,7 +308,7 @@ def validate_schema(schema: FeatureSchema) -> FeatureSchema:
     for decl in feats:
         if decl.component is ComponentTag.REFINES:
             target = decl.refines
-            if target is None or not (0 <= target < len(feats)):
+            if type(target) is not int or not (0 <= target < len(feats)):
                 raise SchemaError(
                     "bad-gamma-target", decl.index,
                     f"feature {decl.index} refines nonexistent feature {target}")
@@ -319,7 +319,8 @@ def validate_schema(schema: FeatureSchema) -> FeatureSchema:
                     f"not feature {target}")
         if decl.class_feature is not None:
             cf = decl.class_feature
-            if not (0 <= cf < len(feats)) or feats[cf].datatype is not Datatype.IDENTIFIER_SET:
+            if (type(cf) is not int or not (0 <= cf < len(feats))
+                    or feats[cf].datatype is not Datatype.IDENTIFIER_SET):
                 raise SchemaError(
                     "bad-gamma-target", decl.index,
                     f"feature {decl.index} declares class feature {cf}, which is not "

@@ -21,7 +21,7 @@ import io
 import sys
 from datetime import datetime, timezone
 
-from .errors import DocumentError, IllFormedRuleError
+from .errors import DocumentError, IllFormedRuleError, ModelInvariantError
 from .evaluation import Finding, ViolationReport
 from .comparison import ConflictVerdict
 from .matching import require_well_formed
@@ -74,10 +74,8 @@ def _require_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise DocumentError(
-            "unknown-field",
-            f"unknown field(s) {unknown} in {where}; this profile rejects "
-            f"fields it does not understand",
-            location=where)
+            "unknown-field", f"unknown field(s) {unknown}; this profile rejects "
+            f"fields it does not understand", where)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +93,13 @@ def parse_schema_document(doc: dict) -> FeatureSchema:
     _require_keys(doc, ("format", "features"), "schema document")
     raw_features = doc.get("features")
     if not isinstance(raw_features, list):
-        raise DocumentError("bad-format", "schema features must be a list")
+        raise DocumentError("bad-format", "must be a list of feature declarations",
+                            "features")
 
     names = {}
     for pos, obj in enumerate(raw_features):
         if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
-            raise DocumentError("bad-format", f"feature {pos} needs a name")
+            raise DocumentError("bad-format", "needs a name", f"feature {pos}")
         names[obj["name"]] = pos
 
     decls = []
@@ -115,30 +114,25 @@ def parse_schema_document(doc: dict) -> FeatureSchema:
         dt = _DATATYPES.get(dt) if isinstance(dt, str) else None
         comp = _COMPONENTS.get(comp) if isinstance(comp, str) else None
         if dt is None or comp is None:
-            raise DocumentError(
-                "bad-format",
-                f"{where}: unknown datatype or component", location=where)
+            raise DocumentError("bad-format", "unknown datatype or component", where)
         refines = obj.get("refines")
         if refines is not None:
             if not isinstance(refines, str) or refines not in names:
                 raise DocumentError(
-                    "bad-format", f"{where}: refines unknown feature {refines!r}",
-                    location=where)
+                    "bad-format", f"refines unknown feature {refines!r}", where)
             refines = names[refines]
         class_feature = obj.get("classFeature")
         if class_feature is not None:
             if not isinstance(class_feature, str) or class_feature not in names:
                 raise DocumentError(
                     "bad-format",
-                    f"{where}: classFeature names unknown feature {class_feature!r}",
-                    location=where)
+                    f"classFeature names unknown feature {class_feature!r}", where)
             class_feature = names[class_feature]
         classes = obj.get("classes")
         if classes is not None and not (
                 isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
             raise DocumentError(
-                "bad-format", f"{where}: classes must be a list of class names",
-                location=where)
+                "bad-format", "classes must be a list of class names", where)
         decls.append(FeatureDecl(
             index=obj.get("index", pos),
             name=obj["name"],
@@ -185,15 +179,14 @@ def parse_vocabulary_document(doc: dict) -> ActionVocabulary:
     _require_keys(doc, ("format", "includedIn"), "vocabulary document")
     edges = doc.get("includedIn", [])
     if not isinstance(edges, list):
-        raise DocumentError("bad-format", "includedIn must be a list of edges")
+        raise DocumentError("bad-format", "must be a list of edges", "includedIn")
     parsed = []
     for pos, edge in enumerate(edges):
         if (not isinstance(edge, list) or len(edge) != 2
                 or not all(isinstance(x, str) for x in edge)):
             raise DocumentError(
-                "bad-format",
-                f"edge {pos} must be a [child, parent] pair of action names",
-                location=f"includedIn[{pos}]")
+                "bad-format", "must be a [child, parent] pair of action names",
+                f"includedIn[{pos}]")
         parsed.append((edge[0], edge[1]))
     return ActionVocabulary.of(parsed)
 
@@ -212,7 +205,7 @@ def vocabulary_to_document(vocabulary: ActionVocabulary) -> dict:
 def _timestamp_ticks(raw, where: str) -> int:
     """Integer ticks, or an ISO-8601 string mapped to epoch seconds."""
     if isinstance(raw, bool):
-        raise DocumentError("unparsable-value", f"{where}: boolean timestamp")
+        raise DocumentError("unparsable-value", "boolean timestamp", where)
     if isinstance(raw, int):
         return raw
     if isinstance(raw, str):
@@ -225,15 +218,13 @@ def _timestamp_ticks(raw, where: str) -> int:
             dt = datetime.fromisoformat(text)
         except ValueError as exc:
             raise DocumentError(
-                "unparsable-value",
-                f"{where}: {text!r} is neither integer ticks nor ISO-8601",
-                location=where) from exc
+                "unparsable-value", f"{text!r} is neither integer ticks nor ISO-8601",
+                where) from exc
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp())
     raise DocumentError(
-        "unparsable-value", f"{where}: cannot read timestamp from {raw!r}",
-        location=where)
+        "unparsable-value", f"cannot read timestamp from {raw!r}", where)
 
 
 def parse_value(raw, datatype: Datatype, where: str) -> Value:
@@ -242,7 +233,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
         return Value.timestamp(_timestamp_ticks(raw, where))
     if datatype is Datatype.NUMERIC:
         if isinstance(raw, bool):
-            raise DocumentError("unparsable-value", f"{where}: boolean number")
+            raise DocumentError("unparsable-value", "boolean number", where)
         number = raw
         if isinstance(raw, str):
             try:
@@ -252,8 +243,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
                     number = float(raw)
                 except ValueError as exc:
                     raise DocumentError(
-                        "unparsable-value", f"{where}: {raw!r} is not numeric",
-                        location=where) from exc
+                        "unparsable-value", f"{raw!r} is not numeric", where) from exc
         if isinstance(number, (int, float)) and abs(number) <= sys.float_info.max:
             return Value.number(number)
     if datatype is Datatype.STRING and isinstance(raw, str):
@@ -267,9 +257,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
             members = [m for m in raw.split("|") if m != ""]
             return Value.identifier_set(members)
     raise DocumentError(
-        "unparsable-value",
-        f"{where}: {raw!r} does not fit datatype {datatype.value}",
-        location=where)
+        "unparsable-value", f"{raw!r} does not fit datatype {datatype.value}", where)
 
 
 def value_to_json(v: Value):
@@ -294,17 +282,14 @@ def _records(reader):
             yield row_index, row
             row_index += 1
     except csv.Error as exc:
-        raise DocumentError("bad-format", f"row {row_index}: {exc}",
-                            location=f"row {row_index}") from exc
+        raise DocumentError("bad-format", str(exc), f"row {row_index}") from exc
 
 
 def _parse_cell(cell: str, decl: FeatureDecl, row_index: int) -> Value:
     where = f"row {row_index}, column {decl.name}"
     if cell == "null":
         # only the timestamp and action columns get here: every event has both
-        raise DocumentError(
-            "unparsable-value", f"{where}: {decl.name} may not be null",
-            location=where)
+        raise DocumentError("unparsable-value", f"{decl.name} may not be null", where)
     return parse_value(cell, decl.datatype, where)
 
 
@@ -315,15 +300,14 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     except StopIteration:
         raise DocumentError("header-mismatch", "world log has no header row")
     except csv.Error as exc:
-        raise DocumentError("bad-format", f"header row: {exc}",
-                            location="header row") from exc
+        raise DocumentError("bad-format", str(exc), "header row") from exc
     header = [h.strip() for h in header]
     expected = [d.name for d in schema.features]
     if sorted(header) != sorted(expected) or len(header) != len(expected):
         raise DocumentError(
             "header-mismatch",
-            f"header {header} does not bijectively map to schema features "
-            f"{expected}")
+            f"{header} does not bijectively map to schema features {expected}",
+            "header row")
     # One dictionary per column maps stripped cell text to its parsed value,
     # so each distinct cell is parsed once and events share their values. A
     # failure is never stored: the first bad cell in row-major order raises.
@@ -339,9 +323,8 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
         if len(row) != len(expected):
             raise DocumentError(
                 "arity-mismatch",
-                f"row {row_index}: {len(row)} columns against "
-                f"{len(expected)}-feature schema",
-                location=f"row {row_index}")
+                f"{len(row)} columns against {len(expected)}-feature schema",
+                f"row {row_index}")
         values = []
         for src, decl, parsed in columns:
             cell = row[src].strip()
@@ -383,6 +366,7 @@ def event_to_object(event: Event, schema: FeatureSchema) -> dict:
 
 _OPERATORS = {op.value: op for op in Operator}
 _OPERATORS["rdf:type"] = Operator.IS_A
+_AND_SEQUENCE = "andSequence is not supported; its evaluation semantics are unspecified"
 
 
 def _operator(name, where: str) -> Operator:
@@ -393,16 +377,10 @@ def _operator(name, where: str) -> Operator:
         elif bare.startswith("odrl:"):
             bare = bare[len("odrl:"):]
         if bare == "andSequence":
-            raise DocumentError(
-                "unsupported-operator",
-                f"{where}: andSequence is not supported; its evaluation "
-                f"semantics are unspecified",
-                location=where)
+            raise DocumentError("unsupported-operator", _AND_SEQUENCE, where)
         if bare in _OPERATORS:
             return _OPERATORS[bare]
-    raise DocumentError(
-        "unsupported-operator", f"{where}: unknown operator {name!r}",
-        location=where)
+    raise DocumentError("unsupported-operator", f"unknown operator {name!r}", where)
 
 
 def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
@@ -412,16 +390,13 @@ def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
         except KeyError:
             pass
     raise DocumentError(
-        "unknown-left-operand",
-        f"{where}: {name!r} is not a declared feature", location=where)
+        "unknown-left-operand", f"{name!r} is not a declared feature", where)
 
 
 def _name(raw, where: str) -> str:
     if isinstance(raw, str):
         return raw
-    raise DocumentError(
-        "bad-format", f"{where}: expected an identifier, got {raw!r}",
-        location=where)
+    raise DocumentError("bad-format", f"expected an identifier, got {raw!r}", where)
 
 
 def _set_operand(raw, op: Operator, member, where: str) -> Value:
@@ -437,7 +412,7 @@ def _set_operand(raw, op: Operator, member, where: str) -> Value:
 
 def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
     if not isinstance(obj, dict):
-        raise DocumentError("bad-format", f"{where}: condition must be an object")
+        raise DocumentError("bad-format", "condition must be an object", where)
     if "feature" in obj:
         _require_keys(obj, ("feature", "op", "value"), where)
         decl = _feature(schema, obj.get("feature"), where)
@@ -446,7 +421,10 @@ def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
             value = parse_value(obj.get("value"), decl.datatype, where)
         else:
             value = _set_operand(obj.get("value"), op, _name, where)
-        return SimpleCondition(decl.index, op, value)
+        try:
+            return SimpleCondition(decl.index, op, value)
+        except ModelInvariantError as exc:
+            raise DocumentError("unsupported-operator", str(exc), where) from None
     if "and" in obj:
         _require_keys(obj, ("and",), where)
         return And(tuple(parse_condition(p, schema, where)
@@ -462,21 +440,21 @@ def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
         _require_keys(obj, ("xor",), where)
         parts = _condition_list(obj["xor"], where)
         if len(parts) != 2:
-            raise DocumentError(
-                "bad-format", f"{where}: xor takes exactly two operands")
+            raise DocumentError("bad-format", "xor takes exactly two operands", where)
         return Xor(parse_condition(parts[0], schema, where),
                    parse_condition(parts[1], schema, where))
     if "const" in obj:
         _require_keys(obj, ("const",), where)
-        return Constant(bool(obj["const"]))
-    raise DocumentError(
-        "bad-format", f"{where}: unrecognized condition object {obj!r}")
+        if not isinstance(obj["const"], bool):
+            raise DocumentError("bad-format", "const must be a JSON boolean", where)
+        return Constant(obj["const"])
+    raise DocumentError("bad-format", f"unrecognized condition object {obj!r}", where)
 
 
 def _condition_list(raw, where: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise DocumentError(
-            "bad-format", f"{where}: boolean combinator needs a nonempty list")
+            "bad-format", "boolean combinator needs a nonempty list", where)
     return raw
 
 
@@ -501,16 +479,16 @@ def condition_to_json(c: Condition, schema: FeatureSchema):
 
 def _parse_canonical_rule(obj, schema, where: str) -> EventRule:
     if not isinstance(obj, dict):
-        raise DocumentError("bad-format", f"{where}: rule must be an object")
+        raise DocumentError("bad-format", "rule must be an object", where)
     _require_keys(obj, ("label", "conditions"), where)
     conditions = obj.get("conditions")
     if not isinstance(conditions, list):
-        raise DocumentError("bad-format", f"{where}: conditions must be a list")
+        raise DocumentError("bad-format", "conditions must be a list", where)
     parsed = [parse_condition(c, schema, f"{where}, condition {i}")
               for i, c in enumerate(conditions)]
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
-        raise DocumentError("bad-format", f"{where}: label must be a string")
+        raise DocumentError("bad-format", "label must be a string", where)
     return EventRule(frozenset(parsed), label=label)
 
 
@@ -528,12 +506,13 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
     _require_keys(doc, allowed, "policy document")
     kind = doc.get("kind", "lite")
     if kind not in ("lite", "full"):
-        raise DocumentError("bad-format", f"unknown policy kind {kind!r}")
+        raise DocumentError("bad-format", f"must be 'lite' or 'full', not {kind!r}",
+                            "kind")
 
     def rules(key: str) -> list:
         raw = doc.get(key, [])
         if not isinstance(raw, list):
-            raise DocumentError("bad-format", f"{key} must be a list of rules")
+            raise DocumentError("bad-format", "must be a list of rules", key)
         return [_parse_canonical_rule(o, schema, f"{key}[{i}]")
                 for i, o in enumerate(raw)]
 
@@ -544,7 +523,7 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
         for pairing in PAIRINGS:
             if doc.get(pairing.key):
                 raise DocumentError(
-                    "bad-format", f"lite policies cannot carry {pairing.key}")
+                    "bad-format", "lite policies cannot carry this key", pairing.key)
         return lite
 
     by_label: dict = {}
@@ -559,14 +538,11 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
         if isinstance(raw, (list, dict)):
             raise DocumentError(
                 "bad-format",
-                f"{where}: {pairing.members[j]} must name a permission by its label",
-                location=where)
+                f"{pairing.members[j]} must name a permission by its label", where)
         hits = by_label.get(raw, [])
         if len(hits) != 1:
             raise DocumentError(
-                "dangling-duty",
-                f"{where}: {raw!r} must name exactly one permission",
-                location=where)
+                "dangling-duty", f"{raw!r} must name exactly one permission", where)
         return hits[0]
 
     pairs = {}
@@ -574,14 +550,12 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
         entries = doc.get(pairing.key, [])
         if not isinstance(entries, list):
             raise DocumentError(
-                "bad-format", f"{pairing.key} must be a list of objects",
-                location=pairing.key)
+                "bad-format", "must be a list of objects", pairing.key)
         pairs[pairing.field] = []
         for i, obj in enumerate(entries):
             where = f"{pairing.key}[{i}]"
             if not isinstance(obj, dict):
-                raise DocumentError(
-                    "bad-format", f"{where}: entry must be an object", location=where)
+                raise DocumentError("bad-format", "entry must be an object", where)
             _require_keys(obj, pairing.members, where)
             pairs[pairing.field].append(tuple(
                 member(pairing, j, obj.get(m), where)
@@ -670,28 +644,22 @@ def _odrl_right_operand(raw, decl: FeatureDecl, op: Operator, where: str) -> Val
         return _set_operand(raw, op, _odrl_id, where)
     if isinstance(raw, list):
         raise DocumentError(
-            "unparsable-value",
-            f"{where}: list right operand with scalar operator", location=where)
+            "unparsable-value", "list right operand with scalar operator", where)
     return parse_value(raw, decl.datatype, where)
 
 
 def _odrl_constraint(obj, schema, gamma, where: str) -> Condition:
     """One ODRL constraint object: a comparison leaf or a logical wrapper."""
     if not isinstance(obj, dict):
-        raise DocumentError("bad-format", f"{where}: constraint must be an object")
+        raise DocumentError("bad-format", "constraint must be an object", where)
     logical = [k for k in ("and", "or", "xone", "andSequence") if k in obj]
     if logical:
         if len(obj) != 1:
             raise DocumentError(
-                "bad-format",
-                f"{where}: logical constraints carry exactly one key")
+                "bad-format", "logical constraints carry exactly one key", where)
         key = logical[0]
         if key == "andSequence":
-            raise DocumentError(
-                "unsupported-operator",
-                f"{where}: andSequence is not supported; its evaluation "
-                f"semantics are unspecified",
-                location=where)
+            raise DocumentError("unsupported-operator", _AND_SEQUENCE, where)
         operands = obj[key]
         if isinstance(operands, dict) and "@list" in operands:
             operands = operands["@list"]
@@ -704,23 +672,22 @@ def _odrl_constraint(obj, schema, gamma, where: str) -> Condition:
             return Or(tuple(parts))
         if len(parts) != 2:
             raise DocumentError(
-                "unsupported-operator",
-                f"{where}: xone is only supported with exactly two operands, "
-                f"where it coincides with exclusive or",
-                location=where)
+                "unsupported-operator", "xone is only supported with exactly two "
+                "operands, where it coincides with exclusive or", where)
         return Xor(parts[0], parts[1])
 
     _require_keys(obj, ("leftOperand", "operator", "rightOperand", "uid"), where)
     decl = _feature(schema, _odrl_id(obj.get("leftOperand"), where), where)
     if decl.gamma != gamma:
         raise DocumentError(
-            "unknown-left-operand",
-            f"{where}: left operand {decl.name!r} does not belong to this "
-            f"placement (component mismatch)",
-            location=where)
+            "unknown-left-operand", f"left operand {decl.name!r} does not belong "
+            f"to this placement (component mismatch)", where)
     op = _operator(obj.get("operator"), where)
     value = _odrl_right_operand(obj.get("rightOperand"), decl, op, where)
-    return SimpleCondition(decl.index, op, value)
+    try:
+        return SimpleCondition(decl.index, op, value)
+    except ModelInvariantError as exc:
+        raise DocumentError("unsupported-operator", str(exc), where) from None
 
 
 def _single_core_feature(schema, tag: ComponentTag, party_role, where: str):
@@ -730,10 +697,8 @@ def _single_core_feature(schema, tag: ComponentTag, party_role, where: str):
     if len(hits) != 1:
         role = party_role or tag.value
         raise DocumentError(
-            "unknown-left-operand",
-            f"{where}: the schema must declare exactly one {role} feature to "
-            f"ingest this element; found {len(hits)}",
-            location=where)
+            "unknown-left-operand", f"the schema must declare exactly one {role} "
+            f"feature to ingest this element; found {len(hits)}", where)
     return hits[0]
 
 
@@ -763,19 +728,17 @@ def _odrl_component(raw, schema, tag, party_role, where: str):
 def _odrl_rule(obj, schema, policy_parties, label: str, where: str,
                extra_keys=()) -> EventRule:
     if not isinstance(obj, dict):
-        raise DocumentError("bad-format", f"{where}: rule must be an object")
+        raise DocumentError("bad-format", "rule must be an object", where)
     _require_keys(obj, _ODRL_RULE_BASE_KEYS + tuple(extra_keys), where)
     conditions = []
     if "action" not in obj:
         raise DocumentError(
-            "ill-formed-rule", f"{where}: every rule must define its action",
-            location=where)
+            "ill-formed-rule", "every rule must define its action", where)
     acts = _as_list(obj["action"])
     if len(acts) != 1:
         raise DocumentError(
-            "unsupported-operator",
-            f"{where}: this profile takes exactly one action per rule",
-            location=where)
+            "unsupported-operator", "this profile takes exactly one action per rule",
+            where)
     conditions += _odrl_component(
         acts[0], schema, ComponentTag.ACTION, None, f"{where}.action")
     if "target" in obj:
@@ -805,7 +768,7 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
     _require_keys(doc, _ODRL_POLICY_KEYS, "policy")
     ptype = doc.get("@type", "Set")
     if ptype not in _ODRL_TYPES:
-        raise DocumentError("bad-format", f"unsupported policy @type {ptype!r}")
+        raise DocumentError("bad-format", f"unsupported policy type {ptype!r}", "@type")
     policy_parties = {k: doc[k] for k in ("assignee", "assigner") if k in doc}
 
     lite = {"permissions": [], "prohibitions": [], "obligations": []}

@@ -77,3 +77,49 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {n}" for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def _template(node, placeholders=True) -> str:
+    """A message or location as source text: literal parts kept, each
+    placeholder written ``{expression}`` (``str(x)`` read as ``x``), or
+    ``{}`` without ``placeholders``."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_template(part, placeholders) for part in node.values)
+    if isinstance(node, ast.FormattedValue):
+        return _template(node.value, placeholders)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "str" and len(node.args) == 1):
+        node = node.args[0]
+    return "{" + ast.unparse(node) + "}" if placeholders else "{}"
+
+
+def test_document_errors_do_not_format_their_own_place():
+    # DocumentError writes "<location>: " before its message; a call that
+    # opens its message with a placeholder and ": ", or repeats its
+    # location in it, names its place twice or outside the location field.
+    src = Path(odrleval.__file__).parent
+    calls, offending = 0, []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "DocumentError"):
+                continue
+            calls += 1
+            args = dict(zip(("kind", "message", "location"), node.args))
+            args.update((k.arg, k.value) for k in node.keywords)
+            message = args["message"]
+            opens_with_place = (
+                isinstance(message, ast.JoinedStr) and len(message.values) > 1
+                and isinstance(message.values[0], ast.FormattedValue)
+                and isinstance(message.values[1], ast.Constant)
+                and message.values[1].value.startswith(": "))
+            location = args.get("location")
+            # a literal location is looked for in the message's literal text
+            repeats_location = location is not None and _template(location) in \
+                _template(message, not isinstance(location, ast.Constant))
+            if opens_with_place or repeats_location:
+                offending.append(f"{path.name}:{node.lineno}")
+    assert calls > 60
+    assert offending == []

@@ -303,6 +303,24 @@ def test_malformed_schema_exits_2_with_error_object(capsys, tmp_path, key, value
     assert json.loads(err)["error"] == kind
 
 
+@pytest.mark.parametrize("command", ["check", "evaluate"])
+@pytest.mark.parametrize("index", [1.0, True])
+def test_schema_index_of_wrong_type_exits_2(capsys, tmp_path, command, index):
+    # 1.0 ended in a TypeError traceback and True was read as 1
+    doc = json.loads((DEMO / "schema.json").read_text())
+    doc["features"][1]["index"] = index
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    world = ("--world", str(DEMO / "world.csv")) if command == "evaluate" else ()
+    code, out, err = run(capsys, command, "--policy", str(DEMO / "policy.json"),
+                         *world, "--schema", str(schema))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "SchemaError",
+        "message": "feature indices must be unique and contiguous; "
+                   f"found index {index} at position 1"}
+
+
 def test_duplicate_feature_name_exits_2(capsys, tmp_path):
     doc = json.loads((DEMO / "schema.json").read_text())
     doc["features"] += [

@@ -88,6 +88,32 @@ def test_noncontiguous_indices_rejected():
     assert err.value.kind == "duplicate-index"
 
 
+@pytest.mark.parametrize("index", [1.0, True])
+def test_schema_index_must_be_an_integer(index):
+    # 1.0 and True compare equal to 1, the position they sit at
+    with pytest.raises(SchemaError) as err:
+        FeatureSchema((
+            FeatureDecl(0, "Datetime", Datatype.TIMESTAMP, ComponentTag.RULE),
+            FeatureDecl(index, "Action", Datatype.IDENTIFIER, ComponentTag.ACTION),
+        ))
+    assert err.value.kind == "duplicate-index"
+
+
+@pytest.mark.parametrize("field, target", [
+    ("refines", 1.0), ("refines", True), ("class_feature", 6.0)])
+def test_schema_targets_must_be_integers(field, target):
+    tags = FeatureDecl(6, "Tags", Datatype.IDENTIFIER_SET, ComponentTag.RULE)
+    if field == "refines":
+        decl = FeatureDecl(7, "X", Datatype.NUMERIC, ComponentTag.REFINES,
+                           refines=target)
+    else:
+        decl = FeatureDecl(7, "X", Datatype.IDENTIFIER, ComponentTag.RULE,
+                           class_feature=target)
+    with pytest.raises(SchemaError) as err:
+        FeatureSchema(make_schema().features + (tags, decl))
+    assert err.value.kind == "bad-gamma-target"
+
+
 def test_duplicate_feature_name_rejected():
     with pytest.raises(SchemaError) as err:
         FeatureSchema((

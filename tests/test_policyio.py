@@ -430,6 +430,37 @@ def test_canonical_rejects_unknown_condition_shape(schema):
         parse_policy_document(doc, schema)
 
 
+@pytest.mark.parametrize("const", ["false", "no", 0, 1, None, []])
+def test_canonical_const_must_be_a_boolean(schema, const):
+    # bool() read "false" and "no" as true
+    doc = {"format": "policy/1", "kind": "lite", "permissions": [
+        {"label": "x", "conditions": [
+            {"feature": "Action", "op": "eq", "value": "Print"}, {"const": const}]}]}
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert (err.value.kind, err.value.location) == (
+        "bad-format", "permissions[0], condition 1")
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"format": "policy/1", "permissions": [{"conditions": [
+        {"feature": "Action", "op": "eq", "value": "Print"},
+        {"feature": "Tags", "op": "eq", "value": ["Staff"]}]}]},
+     "permissions[0], condition 1"),
+    ({"@context": "http://www.w3.org/ns/odrl.jsonld", "permission": [
+        {"action": "Print", "constraint": [
+            {"leftOperand": "Tags", "operator": "eq", "rightOperand": "Staff"}]}]},
+     "permission[0].constraint[0]"),
+], ids=["canonical", "odrl"])
+def test_constant_that_does_not_fit_its_operator_names_its_place(doc, where):
+    # an identifier-set feature compared with eq: the model's check refuses it
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, strategies.tagged_schema())
+    assert (err.value.kind, err.value.location) == ("unsupported-operator", where)
+    assert str(err.value) == (
+        f"{where}: set-valued constant requires a set or class operator, not eq")
+
+
 def test_parse_enforces_well_formedness(schema):
     doc = {
         "format": "policy/1",

@@ -84,6 +84,8 @@ def call(argv) -> dict | None:
     if code == 2:
         error = json.loads(err.getvalue())
         assert isinstance(error["error"], str) and isinstance(error["message"], str)
+        if "location" in error:
+            assert error["message"].startswith(error["location"] + ": "), error
         assert out.getvalue() == "", argv
         return error
     assert code in (0, 1), argv
@@ -164,6 +166,47 @@ FIXED_LOGS = {
     "pages-past-float-range": PAGES_HEADER + f"1,Read,Bob,Book,null,{'9' * 400}\n",
     "field-over-csv-limit": PAGES_HEADER + f"1,Read,{'B' * 200_000},Book,null,null\n",
 }
+
+
+# Element errors that name their place: (document, kind, location).
+LOCATED_POLICIES = {
+    "boolean-timestamp": ("requester.json", ("permissions", 0, "conditions", 1),
+                          {"feature": "Datetime", "op": "lt", "value": True},
+                          "unparsable-value", "permissions[0], condition 1"),
+    "boolean-number": ("requester.json", ("permissions", 0, "conditions", 1),
+                       {"feature": "Print.Resolution", "op": "gt", "value": True},
+                       "unparsable-value", "permissions[0], condition 1"),
+    "condition-not-object": ("requester.json", ("permissions", 0, "conditions", 1), 5,
+                             "bad-format", "permissions[0], condition 1"),
+    "xor-arity": ("requester.json", ("permissions", 0, "conditions", 1),
+                  {"xor": [{"const": True}]}, "bad-format", "permissions[0], condition 1"),
+    "unrecognized-condition": ("requester.json", ("permissions", 0, "conditions", 1),
+                               {"nand": []}, "bad-format", "permissions[0], condition 1"),
+    "empty-combinator": ("requester.json", ("permissions", 0, "conditions", 1),
+                         {"or": []}, "bad-format", "permissions[0], condition 1"),
+    "const-not-boolean": ("requester.json", ("permissions", 0, "conditions", 1),
+                          {"const": "false"}, "bad-format", "permissions[0], condition 1"),
+    "rule-not-object": ("requester.json", ("permissions", 1), 5,
+                        "bad-format", "permissions[1]"),
+    "conditions-not-list": ("requester.json", ("permissions", 1, "conditions"), {},
+                            "bad-format", "permissions[1]"),
+    "label-not-string": ("requester.json", ("permissions", 1, "label"), 5,
+                         "bad-format", "permissions[1]"),
+    "odrl-constraint-not-object": ("policy.json", ("obligation", 0, "constraint", 0), 5,
+                                   "bad-format", "obligation[0].constraint[0]"),
+    "odrl-logical-two-keys": ("policy.json", ("prohibition", 0, "constraint", 0, "or"),
+                              [], "bad-format", "prohibition[0].constraint[0]"),
+    "odrl-rule-not-object": ("policy.json", ("permission", 0), "p1",
+                             "bad-format", "permission[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATED_POLICIES))
+def test_element_errors_name_their_place(tmp_path, case):
+    name, path, value, kind, location = LOCATED_POLICIES[case]
+    policy = _write(tmp_path / "policy.json", _edited(name, path, value))
+    error = call(("check", "--policy", str(policy), "--schema", str(DEMO / "schema.json")))
+    assert (error["error"], error.get("location")) == (kind, location)
 
 
 @pytest.mark.parametrize("case", sorted(FIXED_POLICIES))
