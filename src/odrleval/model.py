@@ -264,6 +264,11 @@ class FeatureSchema:
                 return decl
         raise KeyError(name)
 
+    @functools.cached_property
+    def value_kinds(self) -> tuple:
+        """The value kind each event slot holds when it is not null."""
+        return tuple(KIND_FOR_DATATYPE[decl.datatype] for decl in self.features)
+
 
 def validate_schema(schema: FeatureSchema) -> FeatureSchema:
     """Return ``schema`` if every schema invariant holds, else raise SchemaError.
@@ -373,6 +378,14 @@ class Event:
 
 def conform_event(event: Event, schema: FeatureSchema) -> None:
     """Raise WorldConformanceError unless ``event`` fits ``schema``."""
+    # the common case in one pass; the checks below name what does not fit
+    kinds = schema.value_kinds
+    if len(event.values) == len(kinds):
+        for v, kind in zip(event.values, kinds):
+            if v.kind is not kind and v.kind is not ValueKind.NULL:
+                break
+        else:
+            return
     if len(event.values) != len(schema):
         raise WorldConformanceError(
             f"event arity {len(event.values)} does not match schema arity {len(schema)}")

@@ -10,6 +10,11 @@ behaves exactly like the in-memory evaluator.
 One query is emitted per violation clause so a consumer can tell which
 clause fired; the two obligation clauses return a single flag row instead
 of witness rows.
+
+``world_insert_sql`` loads a world with multi-row INSERT statements of at
+most 500 rows each, event rows first, then set-member rows. It encodes each
+distinct value of a feature once and reuses that text for every cell that
+holds the value.
 """
 
 from __future__ import annotations
@@ -319,30 +324,53 @@ def emit_full_violation_queries(p: Policy, schema: FeatureSchema) -> EmittedQuer
     return emit_violation_queries(as_full(p), schema)
 
 
+# Rows per INSERT statement. SQL Server caps a VALUES list at 1,000 rows;
+# sqlite 3.8.8 and later have no cap.
+_ROWS_PER_INSERT = 500
+
+
+def _cell_sql(v: Value, feature_lit: str) -> tuple:
+    """A cell's text in its event's row, and for a set the text each of its
+    member rows carries after the event id, members in sorted order."""
+    if v.is_null:
+        return "NULL", ()
+    if v.kind is ValueKind.IDENTIFIER_SET:
+        return (_quote(SET_PRESENT_MARKER),
+                tuple(f"{feature_lit}, {_quote(m)}" for m in sorted(v.raw)))
+    return _literal(v), ()
+
+
+def _inserts(table: str, names: str, rows: list) -> list:
+    head = f"INSERT INTO {table} ({names}) VALUES\n"
+    return [head + ",\n".join(rows[i:i + _ROWS_PER_INSERT]) + ";"
+            for i in range(0, len(rows), _ROWS_PER_INSERT)]
+
+
 def world_insert_sql(world: World, schema: FeatureSchema) -> list:
     """INSERT statements materializing a world that conforms to the schema,
-    events ordered and numbered deterministically."""
+    events ordered and numbered deterministically: ``world_events`` rows in
+    event order, then ``world_set_members`` rows in event, feature and member
+    order, at most 500 rows per statement. Each distinct value of a feature
+    is encoded once."""
     conform_world(world, schema)
     cols = _columns(schema)
     names = ", ".join(["event_id"] + [_q(cols[d.index]) for d in schema.features])
+    features = [_quote(cols[d.index]) for d in schema.features]
+    # per feature: (type, raw) -> _cell_sql; the type keeps 1 and 1.0 apart,
+    # which are equal values with different literals
+    codes = [{} for _ in features]
     rows = []
     members = []
     for event_id, event in enumerate(world.ordered()):
-        vals = [str(event_id)]
-        for decl in schema.features:
-            v = event.value(decl.index)
-            if v.is_null:
-                vals.append("NULL")
-            elif v.kind is ValueKind.IDENTIFIER_SET:
-                vals.append(_quote(SET_PRESENT_MARKER))
-                for m in sorted(v.raw):
-                    members.append(
-                        f"INSERT INTO {SET_TABLE} (event_id, feature, member) "
-                        f"VALUES ({event_id}, {_quote(cols[decl.index])}, "
-                        f"{_quote(m)});")
-            else:
-                vals.append(_literal(v))
-        rows.append(
-            f"INSERT INTO {MAIN_TABLE} ({names}) "
-            f"VALUES ({', '.join(vals)});")
-    return rows + members
+        cells = [str(event_id)]
+        for code, feature, v in zip(codes, features, event.values):
+            key = (type(v.raw), v.raw)
+            sql = code.get(key)
+            if sql is None:
+                sql = code[key] = _cell_sql(v, feature)
+            cells.append(sql[0])
+            for tail in sql[1]:
+                members.append(f"({event_id}, {tail})")
+        rows.append(f"({', '.join(cells)})")
+    return (_inserts(MAIN_TABLE, names, rows)
+            + _inserts(SET_TABLE, "event_id, feature, member", members))

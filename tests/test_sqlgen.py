@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sqlite3
 from random import Random
 
@@ -24,7 +25,7 @@ from odrleval import (
     world_insert_sql,
 )
 from odrleval.policyio import parse_policy_document, parse_world_text
-from odrleval.sqlgen import sanitize_name
+from odrleval.sqlgen import create_table_sql, sanitize_name
 from conftest import (
     ACTION,
     ACTOR,
@@ -537,3 +538,149 @@ def test_world_insert_sql_checks_conformance(schema):
     for event in (short, wrong_kind):
         with pytest.raises(WorldConformanceError):
             world_insert_sql(World((event,)), schema)
+
+
+# -- loading a world -------------------------------------------------------------
+
+CHUNK = 500   # rows per INSERT statement
+CHUNK_NUMBERS = EXTREME_NUMBERS + (-0.0, 2 ** 60, float(2 ** 60), 1, 1.0)
+CHUNK_SETS = EXTREME_SETS + (("b", "c", "d", "e"),)
+
+
+def chunk_world(n: int, rng: Random) -> World:
+    """``n`` events over ``extreme_schema`` with every extreme legal value, a
+    quarter of the optional cells null, and ties on the timestamp."""
+    from odrleval import NULL, Event
+
+    def maybe(v):
+        return NULL if rng.random() < 0.25 else v
+
+    events = [Event((
+        Value.timestamp(i // 2 if i % 3 else rng.choice(EXTREME_INTS)),
+        Value.identifier(rng.choice(("Print", "Read"))),
+        maybe(Value.identifier(rng.choice(EXTREME_ACTORS))),
+        maybe(Value.identifier("Book")),
+        maybe(Value.number(rng.choice(CHUNK_NUMBERS))),
+        maybe(Value.text(rng.choice(EXTREME_TEXTS))),
+        maybe(Value.identifier_set(rng.choice(CHUNK_SETS))),
+        Value.identifier(f"peer-{i}"),   # keeps the n events distinct
+    )) for i in range(n)]
+    return World.of(events, extreme_schema())
+
+
+def loaded_tables(con) -> tuple:
+    """Both tables in insertion order, each cell by its repr, so that 1 and
+    1.0 differ."""
+    return tuple([tuple(map(repr, row)) for row in
+                  con.execute(f"SELECT * FROM {table} ORDER BY rowid")]
+                 for table in ("world_events", "world_set_members"))
+
+
+def load_with_inserts(world, schema) -> tuple:
+    con = sqlite3.connect(":memory:")
+    con.executescript(create_table_sql(schema))
+    con.executescript("\n".join(world_insert_sql(world, schema)))
+    tables = loaded_tables(con)
+    con.close()
+    return tables
+
+
+def load_with_parameters(world, schema) -> tuple:
+    """The reference load: the world's values bound as parameters, a row per
+    event and a row per set member, with no SQL text built from a value."""
+    from odrleval import ValueKind
+    cols = [sanitize_name(decl.name) for decl in schema.features]
+    rows, members = [], []
+    for event_id, event in enumerate(world.ordered()):
+        row = [event_id]
+        for col, v in zip(cols, event.values):
+            if v.kind is ValueKind.IDENTIFIER_SET:
+                row.append("set")
+                members += [(event_id, col, m) for m in sorted(v.raw)]
+            else:
+                row.append(v.raw)
+        rows.append(row)
+    con = sqlite3.connect(":memory:")
+    con.executescript(create_table_sql(schema))
+    marks = ", ".join("?" * (len(cols) + 1))
+    con.executemany(f"INSERT INTO world_events VALUES ({marks})", rows)
+    con.executemany("INSERT INTO world_set_members VALUES (?, ?, ?)", members)
+    tables = loaded_tables(con)
+    con.close()
+    return tables
+
+
+def test_world_loads_as_with_bound_parameters_across_chunk_boundaries():
+    schema = extreme_schema()
+    for n, seed in ((1201, 1), (CHUNK, 2), (CHUNK + 1, 3), (7, 4)):
+        world = chunk_world(n, Random(seed))
+        assert len(world) == n
+        expected = load_with_parameters(world, schema)
+        if n > CHUNK:
+            assert len(expected[1]) > CHUNK
+        assert load_with_inserts(world, schema) == expected, n
+
+
+def test_world_insert_sql_writes_at_most_500_rows_per_statement(schema, world):
+    extreme = extreme_schema()
+    big = chunk_world(1201, Random(1))
+    m = sum(len(e.value(TAGS).raw) for e in big.events if not e.value(TAGS).is_null)
+    statements = world_insert_sql(big, extreme)
+    assert len(statements) == math.ceil(1201 / CHUNK) + math.ceil(m / CHUNK)
+    con = sqlite3.connect(":memory:")
+    con.executescript(create_table_sql(extreme))
+    loaded = [(s.split(" (", 1)[0], con.execute(s).rowcount) for s in statements]
+    con.close()
+
+    def chunks(table, rows):
+        return [(f"INSERT INTO {table}", min(CHUNK, rows - start))
+                for start in range(0, rows, CHUNK)]
+
+    assert loaded == chunks("world_events", 1201) + chunks("world_set_members", m)
+    assert world_insert_sql(World(()), extreme) == []
+    # no set feature, or no set member: no world_set_members statement
+    assert [s.split(" (", 1)[0] for s in world_insert_sql(world, schema)] \
+        == ["INSERT INTO world_events"]
+    from odrleval import NULL, Event
+    memberless = World.of(Event(e.values[:TAGS] + (
+        NULL if i % 2 else Value.identifier_set(()),) + e.values[TAGS + 1:])
+        for i, e in enumerate(big.ordered()))
+    assert len(world_insert_sql(memberless, extreme)) == math.ceil(1201 / CHUNK)
+
+
+def test_world_load_errors_name_the_first_offending_event():
+    from odrleval import Event, WorldConformanceError
+    schema = extreme_schema()
+    # timestamps 0..999, so each event keeps its place when a cell changes
+    events = [Event((Value.timestamp(t),) + e.values[1:])
+              for t, e in enumerate(chunk_world(1000, Random(9)).ordered())]
+
+    def with_cells(event, **cells):
+        slots = list(event.values)
+        for feature, v in cells.items():
+            slots[{"amount": AMOUNT, "note": NOTE, "tags": TAGS}[feature]] = v
+        return Event(slots)
+
+    too_big = Value.number(2 ** 63)
+    nul_text = Value.text("a\x00b")
+    nul_set = Value.identifier_set({"a\x00", "b\x00"})
+    for cells, match in (({"amount": too_big}, "64-bit"),
+                         ({"note": nul_text}, r"'a\\x00b'"),
+                         ({"tags": nul_set}, r"'a\\x00'"),
+                         ({"amount": too_big, "note": nul_text}, "64-bit"),
+                         ({"note": nul_text, "tags": nul_set}, r"'a\\x00b'")):
+        world = World.of(events[:-1] + [with_cells(events[-1], **cells)], schema)
+        with pytest.raises(QueryEmitError, match=match):
+            world_insert_sql(world, schema)
+    # of two offending events, the earlier one is named
+    for early, late, match in (({"note": nul_text}, {"amount": too_big}, "U\\+0000"),
+                               ({"amount": too_big}, {"note": nul_text}, "64-bit")):
+        world = World.of(events[:-2] + [with_cells(events[-2], **early),
+                                        with_cells(events[-1], **late)], schema)
+        with pytest.raises(QueryEmitError, match=match):
+            world_insert_sql(world, schema)
+    # conformance is checked before any value is encoded
+    wrong_kind = with_cells(events[-1], note=Value.number(7))
+    world = World(events[:-1] + [with_cells(events[0], amount=too_big), wrong_kind])
+    with pytest.raises(WorldConformanceError):
+        world_insert_sql(world, schema)
