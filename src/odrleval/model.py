@@ -378,21 +378,12 @@ class Event:
 
 def conform_event(event: Event, schema: FeatureSchema) -> None:
     """Raise WorldConformanceError unless ``event`` fits ``schema``."""
-    # the common case in one pass; the checks below name what does not fit
     kinds = schema.value_kinds
-    if len(event.values) == len(kinds):
-        for v, kind in zip(event.values, kinds):
-            if v.kind is not kind and v.kind is not ValueKind.NULL:
-                break
-        else:
-            return
-    if len(event.values) != len(schema):
+    if len(event.values) != len(kinds):
         raise WorldConformanceError(
-            f"event arity {len(event.values)} does not match schema arity {len(schema)}")
-    for decl, v in zip(schema.features, event.values):
-        if v.is_null:
-            continue
-        if v.kind is not KIND_FOR_DATATYPE[decl.datatype]:
+            f"event arity {len(event.values)} does not match schema arity {len(kinds)}")
+    for decl, v, kind in zip(schema.features, event.values, kinds):
+        if v.kind is not kind and v.kind is not ValueKind.NULL:
             raise WorldConformanceError(
                 f"feature {decl.index} ({decl.name}) expects {decl.datatype.value}, "
                 f"event carries {v.kind.value}")

@@ -12,7 +12,8 @@ clause fired; the two obligation clauses return a single flag row instead
 of witness rows.
 
 ``world_insert_sql`` loads a world with multi-row INSERT statements of at
-most 500 rows each, event rows first, then set-member rows. It encodes each
+most 500 rows and 200,000 characters each, event rows first, then
+set-member rows. It encodes each
 distinct value of a feature once and reuses that text for every cell that
 holds the value.
 """
@@ -327,6 +328,10 @@ def emit_full_violation_queries(p: Policy, schema: FeatureSchema) -> EmittedQuer
 # Rows per INSERT statement. SQL Server caps a VALUES list at 1,000 rows;
 # sqlite 3.8.8 and later have no cap.
 _ROWS_PER_INSERT = 500
+# Characters per INSERT statement. sqlite refuses a statement longer than
+# SQLITE_LIMIT_SQL_LENGTH, 1,000,000 bytes by default, and a character takes
+# at most 4 bytes of UTF-8.
+_CHARS_PER_INSERT = 200_000
 
 
 def _cell_sql(v: Value, feature_lit: str) -> tuple:
@@ -341,30 +346,46 @@ def _cell_sql(v: Value, feature_lit: str) -> tuple:
 
 
 def _inserts(table: str, names: str, rows: list) -> list:
+    """``rows`` in order, a statement ending at 500 rows or before the row
+    that would take it past the character budget. A row longer than the
+    budget is a statement of its own."""
     head = f"INSERT INTO {table} ({names}) VALUES\n"
-    return [head + ",\n".join(rows[i:i + _ROWS_PER_INSERT]) + ";"
-            for i in range(0, len(rows), _ROWS_PER_INSERT)]
+    statements = []
+    start = 0
+    size = len(head)
+    for i, row in enumerate(rows):
+        size += len(row) + 2
+        if i > start and (i - start == _ROWS_PER_INSERT or size > _CHARS_PER_INSERT):
+            statements.append(head + ",\n".join(rows[start:i]) + ";")
+            start = i
+            size = len(head) + len(row) + 2
+    if rows:
+        statements.append(head + ",\n".join(rows[start:]) + ";")
+    return statements
 
 
 def world_insert_sql(world: World, schema: FeatureSchema) -> list:
     """INSERT statements materializing a world that conforms to the schema,
     events ordered and numbered deterministically: ``world_events`` rows in
     event order, then ``world_set_members`` rows in event, feature and member
-    order, at most 500 rows per statement. Each distinct value of a feature
-    is encoded once."""
+    order, at most 500 rows and 200,000 characters per statement. Each
+    distinct value of a feature is encoded once."""
     conform_world(world, schema)
     cols = _columns(schema)
     names = ", ".join(["event_id"] + [_q(cols[d.index]) for d in schema.features])
     features = [_quote(cols[d.index]) for d in schema.features]
-    # per feature: (type, raw) -> _cell_sql; the type keeps 1 and 1.0 apart,
-    # which are equal values with different literals
+    # per feature: raw value -> _cell_sql
     codes = [{} for _ in features]
     rows = []
     members = []
     for event_id, event in enumerate(world.ordered()):
         cells = [str(event_id)]
         for code, feature, v in zip(codes, features, event.values):
-            key = (type(v.raw), v.raw)
+            key = v.raw
+            if key.__class__ is float:
+                # 1 and 1.0, or 0.0 and -0.0, are equal keys whose
+                # literals differ
+                key = (key, repr(key))
             sql = code.get(key)
             if sql is None:
                 sql = code[key] = _cell_sql(v, feature)

@@ -569,8 +569,10 @@ def chunk_world(n: int, rng: Random) -> World:
 
 
 def loaded_tables(con) -> tuple:
-    """Both tables in insertion order, each cell by its repr, so that 1 and
-    1.0 differ."""
+    """Both tables in insertion order, each cell by its repr, so that a
+    cell's storage class counts: text '1', integer 1 and real 0.5 differ.
+    Under NUMERIC affinity sqlite stores 1.0 and -0.0 as integers, so this
+    cannot tell 1 from 1.0; the literal test below does."""
     return tuple([tuple(map(repr, row)) for row in
                   con.execute(f"SELECT * FROM {table} ORDER BY rowid")]
                  for table in ("world_events", "world_set_members"))
@@ -619,6 +621,51 @@ def test_world_loads_as_with_bound_parameters_across_chunk_boundaries():
         if n > CHUNK:
             assert len(expected[1]) > CHUNK
         assert load_with_inserts(world, schema) == expected, n
+
+
+def test_world_loads_one_statement_at_a_time_under_sqlites_default_length_limit():
+    """Statements stay within sqlite's default SQLITE_LIMIT_SQL_LENGTH of
+    1,000,000 bytes even when 500 rows would not, and a row longer than the
+    character budget still loads, in a statement of its own."""
+    from odrleval import NULL, Event
+    schema = extreme_schema()
+    note = {"ascii": "x" * 2100, "3-byte": "\u20ac" * 2100,
+            "4-byte": "\U0001d11e" * 2100, "alone": "y" * 210_000}
+    events = [Event((
+        Value.timestamp(i), Value.identifier("Read"), NULL, NULL, NULL,
+        Value.text(note[("ascii", "3-byte", "4-byte")[i % 3]]
+                   if i != 700 else note["alone"]),
+        Value.identifier_set((f"m{i}",)), Value.identifier(f"peer-{i}"),
+    )) for i in range(1300)]
+    # 500 of these rows take more than 1,000,000 bytes
+    assert sum(len(e.value(NOTE).raw.encode()) for e in events[:500]) > 10 ** 6
+    world = World.of(events, schema)
+    statements = world_insert_sql(world, schema)
+    con = sqlite3.connect(":memory:")
+    con.setlimit(sqlite3.SQLITE_LIMIT_SQL_LENGTH, 10 ** 6)
+    con.executescript(create_table_sql(schema))
+    for s in statements:
+        con.execute(s)
+    assert [s.count("\n") for s in statements if note["alone"] in s] == [1]
+    assert loaded_tables(con) == load_with_parameters(world, schema)
+    con.close()
+
+
+def test_world_insert_sql_writes_each_numbers_own_literal():
+    """1 and 1.0, and 0.0 and -0.0, are equal numbers with different literals;
+    each cell carries the literal of its own value, whichever came first."""
+    from odrleval import NULL, Event
+    schema = extreme_schema()
+    amounts = (1, 1.0, 1, 0.0, -0.0, 0.0, 0, -0.0, 1.0, float(2 ** 60), 2 ** 60,
+               float(2 ** 60), 1e-300, -1e-300)
+    world = World.of((Event((
+        Value.timestamp(t), Value.identifier("Read"), NULL, NULL,
+        Value.number(x), NULL, NULL, Value.identifier(f"p{t}"),
+    )) for t, x in enumerate(amounts)), schema)
+    [statement] = world_insert_sql(world, schema)
+    rows = statement.split(" VALUES\n", 1)[1].rstrip(";").split(",\n")
+    assert rows == [f"({t}, {t}, 'Read', NULL, NULL, {x!r}, NULL, NULL, 'p{t}')"
+                    for t, x in enumerate(amounts)]
 
 
 def test_world_insert_sql_writes_at_most_500_rows_per_statement(schema, world):
