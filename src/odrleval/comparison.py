@@ -11,9 +11,11 @@ event with identical condition outcomes, so the enumeration is complete for
 the operators supported here.
 
 The domain is the product of the per-feature probes, and a match table over
-it never lists that product: each condition's bitset is computed from the
-product structure (``WitnessDomain.column``), and a witness bit is decoded
-back into its event. The brute-force oracle still enumerates the events.
+it never lists that product: ``WitnessDomain.column(i)`` gives feature
+``i``'s probes and lays one flag per probe out over the domain, so each
+condition's bitset comes from the product structure. A witness bit is
+decoded back into its event. The brute-force oracle still enumerates the
+events.
 
 Conflict detection follows the containment characterization for consistent
 policies: the requester conflicts with the provider when its permissions are
@@ -26,9 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from .conditions import negate
 from .errors import (
@@ -188,47 +188,21 @@ class WitnessDomain:
             values.append(p[k])
         return Event(tuple(reversed(values)))
 
-    def column(self, read: tuple):
-        """The ``MatchTable`` column view, computed from the product
-        structure: one representative event per combination of the probes of
-        the features in ``read``, and a function from one flag per
-        combination to the bitset over the whole domain."""
-        base = [p[0] for p in self.probes]
-        reps = []
-        for combo in itertools.product(*(self.probes[i] for i in read)):
-            for i, v in zip(read, combo):
-                base[i] = v
-            reps.append(Event(tuple(base)))
-        if len(read) == 1:
-            return reps, self._spreader(read[0])
-        # Several features (isA reads its class feature too): each true
-        # combination is the AND of its features' one-hot masks.
-        onehots = []
-        for i in read:
-            spread, n = self._spreader(i), len(self.probes[i])
-            onehots.append([spread([k == v for k in range(n)]) for v in range(n)])
-
-        def expand(flags) -> int:
-            m = 0
-            for masks, f in zip(itertools.product(*onehots), flags):
-                if f:
-                    m |= reduce(operator.and_, masks)
-            return m
-        return reps, expand
-
-    def _spreader(self, i: int):
-        """flags over feature ``i``'s probes -> the domain bitset where they
-        hold. Each probe covers a run of ``inner`` bits; the block of all
-        ``n * inner`` bits repeats ``outer`` times, so one multiplication by
-        the repunit with a bit at the start of every block lays it out."""
+    def column(self, i: int):
+        """The ``MatchTable`` column view of feature ``i``, computed from the
+        product structure: its probes, and a function from one flag per probe
+        to the domain bitset where they hold. Each probe covers a run of
+        ``inner`` bits; the block of all ``n * inner`` bits repeats ``outer``
+        times, so one multiplication by the repunit with a bit at the start
+        of every block lays it out."""
         sizes = [len(p) for p in self.probes]
         inner, outer = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
         repunit = int(("0" * (sizes[i] * inner - 1) + "1") * outer, 2)
         runs = ("0" * inner, "1" * inner)
 
-        def spread(flags) -> int:
+        def expand(flags) -> int:
             return int("".join(map(runs.__getitem__, reversed(flags))), 2) * repunit
-        return spread
+        return self.probes[i], expand
 
 
 def _fresh_atom(base: str, taken) -> str:

@@ -56,16 +56,50 @@ def _compare_scalar(op: Operator, left: Value, right: Value) -> bool:
     raise AssertionError(f"not a scalar operator: {op}")
 
 
-def _class_set(c: SimpleCondition, e: Event, s: FeatureSchema) -> frozenset | None:
-    """The class set backing ``isA`` for the condition's feature, or None when
-    it is unknown (no declaration, or the companion value is null)."""
-    decl = s.declaration(c.feature)
-    if decl.class_feature is not None:
-        companion = e.value(decl.class_feature)
-        if companion.kind is not ValueKind.IDENTIFIER_SET:
-            return None
-        return companion.raw
-    return decl.classes
+def class_feature(c: SimpleCondition, s: FeatureSchema) -> int | None:
+    """The companion feature holding the class set an ``isA`` condition
+    reads, or None when the condition reads its own feature only."""
+    return s.declaration(c.feature).class_feature if c.op is Operator.IS_A else None
+
+
+def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
+    """The part of ``eval_simple`` that reads the condition's own feature,
+    with value ``v``. For an ``isA`` with a class feature this only asks
+    that the value is present; ``eval_classes`` tests the class set."""
+    if v.is_null:
+        return False
+
+    if c.op is Operator.IS_A:
+        # <i, isA, v> is evaluated as <i_c, hasPart, {v}> over i's class set.
+        decl = s.declaration(c.feature)
+        if decl.class_feature is not None:
+            return True
+        return decl.classes is not None and decl.classes >= c.members
+
+    if c.op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF):
+        if v.kind is not ValueKind.IDENTIFIER_SET:
+            return False
+        if c.op is Operator.HAS_PART:
+            return v.raw >= c.members
+        if c.op is Operator.IS_PART_OF:
+            return v.raw <= c.members
+        return v.raw == c.members
+
+    if c.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
+        # Membership over identifier atoms; a set-valued or non-atom event
+        # value is an evaluation error, so false for both operators.
+        if v.kind not in (ValueKind.TEXT, ValueKind.IDENTIFIER):
+            return False
+        hit = v.raw in c.value.raw
+        return hit if c.op is Operator.IS_ANY_OF else not hit
+
+    return _compare_scalar(c.op, v, c.value)
+
+
+def eval_classes(c: SimpleCondition, v: Value) -> bool:
+    """The class-feature part of an ``isA``: ``v`` is an identifier set
+    holding every class the condition names."""
+    return v.kind is ValueKind.IDENTIFIER_SET and v.raw >= c.members
 
 
 def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
@@ -74,35 +108,9 @@ def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
     False whenever the feature value is null, the kinds are incomparable, or
     class information for ``isA`` is unavailable.
     """
-    ev = e.value(c.feature)
-    if ev.is_null:
-        return False
-
-    if c.op is Operator.IS_A:
-        # <i, isA, v> is evaluated as <i_c, hasPart, {v}> over i's class set.
-        classes = _class_set(c, e, s)
-        if classes is None:
-            return False
-        return classes >= c.members
-
-    if c.op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF):
-        if ev.kind is not ValueKind.IDENTIFIER_SET:
-            return False
-        if c.op is Operator.HAS_PART:
-            return ev.raw >= c.members
-        if c.op is Operator.IS_PART_OF:
-            return ev.raw <= c.members
-        return ev.raw == c.members
-
-    if c.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
-        # Membership over identifier atoms; a set-valued or non-atom event
-        # value is an evaluation error, so false for both operators.
-        if ev.kind not in (ValueKind.TEXT, ValueKind.IDENTIFIER):
-            return False
-        hit = ev.raw in c.value.raw
-        return hit if c.op is Operator.IS_ANY_OF else not hit
-
-    return _compare_scalar(c.op, ev, c.value)
+    cf = class_feature(c, s)
+    return eval_value(c, e.value(c.feature), s) and (
+        cf is None or eval_classes(c, e.value(cf)))
 
 
 def eval_complex(c: Condition, e: Event, s: FeatureSchema) -> bool:

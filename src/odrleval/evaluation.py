@@ -35,8 +35,6 @@ from .model import (
     as_full,
     conform_world,
     deadline_conditions,
-    ordered_rules,
-    ordered_tuples,
     require_lite,
 )
 
@@ -112,13 +110,13 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
         findings.append(Finding(Clause.PERMISSIONS, witnesses=(events[j],)))
 
     # Prohibitions: any (event, prohibition) match is a violation.
-    for tau in ordered_rules(p.lite.prohibitions):
+    for tau in p.lite.prohibitions:
         for j in bit_positions(table.rule(tau)):
             findings.append(Finding(
                 Clause.PROHIBITIONS, rules=(tau.display_label(s),), witnesses=(events[j],)))
 
     # Obligations: an obligation with no matching event is a violation.
-    for tau in ordered_rules(p.lite.obligations):
+    for tau in p.lite.obligations:
         if not table.rule(tau):
             findings.append(Finding(
                 Clause.OBLIGATIONS, rules=(tau.display_label(s),),
@@ -192,9 +190,10 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
 
 def _labelled(tuples, s: FeatureSchema):
-    """(label tuple, rule tuple) pairs; the final ``Finding.sort_key`` sort
-    fixes report order."""
-    return [(tuple(r.display_label(s) for r in t), t) for t in ordered_tuples(tuples)]
+    """(label tuple, rule tuple) pairs in set order; the final
+    ``Finding.sort_key`` sort, total over distinct findings, fixes report
+    order."""
+    return [(tuple(r.display_label(s) for r in t), t) for t in tuples]
 
 
 def is_valid(p: Policy, w: World, s: FeatureSchema) -> bool:

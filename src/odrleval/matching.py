@@ -6,7 +6,9 @@ pinned by exactly one top-level equality and appears in no other condition,
 and (3) no boolean combination mixes features of different components.
 
 ``match_unchecked`` is the reference semantics; ``MatchTable`` gives every
-rule's match set over a whole event sequence as an ``int`` bitset.
+rule's match set over a whole event sequence as an ``int`` bitset. It reads
+the sequence one feature at a time, through ``column(i)``: feature ``i``'s
+values and a function from one flag per value to a bitset.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from .conditions import eval_complex, eval_simple, simplify
+from .conditions import (
+    class_feature,
+    eval_classes,
+    eval_complex,
+    eval_value,
+    simplify,
+)
 from .errors import IllFormedRuleError
 from .model import (
     ACTION_FEATURE,
@@ -78,26 +86,27 @@ def check_well_formed(rule: EventRule, schema: FeatureSchema) -> WellFormednessR
     if ACTION_FEATURE not in equalities:
         violations.append(WellFormednessViolation(label, 1, (ACTION_FEATURE,)))
 
+    features = {c: features_of(c) for c in rule.conditions}
+
     # Item 2: every core component in use is pinned by exactly one top-level
     # equality and referenced by no other condition.
-    used_components = {schema.gamma(i) for i in rule.feature_set()} - {RULE_WIDE}
+    used_components = {schema.gamma(i) for fs in features.values()
+                       for i in fs} - {RULE_WIDE}
     for k in sorted(used_components):
         pins = equalities.get(k, [])
         others = [
-            c for c in rule.conditions
-            if k in features_of(c) and (not pins or c is not pins[0])
+            c for c, fs in features.items()
+            if k in fs and (not pins or c is not pins[0])
         ]
         if len(pins) != 1 or others:
             violations.append(WellFormednessViolation(label, 2, (k,)))
 
     # Item 3: complex conditions stay within a single component.
-    for c in rule.conditions:
+    for c, fs in features.items():
         if isinstance(c, SimpleCondition):
             continue
-        gammas = {schema.gamma(i) for i in features_of(c)}
-        if len(gammas) > 1:
-            violations.append(
-                WellFormednessViolation(label, 3, tuple(sorted(features_of(c)))))
+        if len({schema.gamma(i) for i in fs}) > 1:
+            violations.append(WellFormednessViolation(label, 3, tuple(sorted(fs))))
 
     violations.sort(key=lambda v: (v.item, v.features))
     return WellFormednessReport(not violations, tuple(violations))
@@ -186,22 +195,18 @@ def lowest_bit(mask: int) -> int:
 class EventList(tuple):
     """Events in a fixed order, with the column view ``MatchTable`` reads."""
 
-    def column(self, read: tuple):
-        """One representative event per distinct value of the features in
-        ``read``, and a function from one flag per representative to the
-        bitset of the events it represents."""
-        key, index, reps, codes = operator.itemgetter(*read), {}, [], []
-        for e in self:
-            k = index.setdefault(key(e.values), len(index))
-            if k == len(reps):
-                reps.append(e)
-            codes.append(k)
+    def column(self, i: int):
+        """The distinct values of feature ``i`` in first-seen order, and a
+        function from one flag per value to the bitset of the events
+        holding it."""
+        index = {}
+        codes = [index.setdefault(e.values[i], len(index)) for e in self]
         codes.reverse()   # the last event is the highest bit
 
         def expand(flags) -> int:
             bits = "".join(map("01".__getitem__, flags))
             return int("".join(map(bits.__getitem__, codes)) or "0", 2)
-        return reps, expand
+        return tuple(index), expand
 
 
 class MatchTable:
@@ -210,26 +215,34 @@ class MatchTable:
 
     The sequence is a list of events, or any sequence with its own
     ``column`` view, such as a witness domain that computes its bitsets
-    from its product structure without listing its events."""
+    from its product structure without listing its events. ``column(i)``
+    gives feature ``i``'s values and a function from one flag per value to
+    the bitset of the events whose feature ``i`` holds a flagged value."""
 
     def __init__(self, events, schema: FeatureSchema):
         self.events = events if hasattr(events, "column") else EventList(events)
         self.schema = schema
         self.all = (1 << len(self.events)) - 1
-        self._columns: dict = {}   # features read -> (representatives, expand)
+        self._columns: dict = {}   # feature index -> (values, expand)
         self._masks: dict = {}     # condition -> match set
 
-    def _simple(self, c: SimpleCondition) -> int:
-        """``eval_simple`` runs once per representative of the features it
-        reads: the condition's own, plus the class feature for ``isA``."""
-        cf = self.schema.declaration(c.feature).class_feature \
-            if c.op is Operator.IS_A else None
-        read = (c.feature,) if cf is None else (c.feature, cf)
-        col = self._columns.get(read)
+    def _mask(self, i: int, test) -> int:
+        """The events whose feature ``i`` value passes ``test``."""
+        col = self._columns.get(i)
         if col is None:
-            col = self._columns[read] = self.events.column(read)
-        reps, expand = col
-        return expand([eval_simple(c, e, self.schema) for e in reps])
+            col = self._columns[i] = self.events.column(i)
+        values, expand = col
+        return expand([test(v) for v in values])
+
+    def _simple(self, c: SimpleCondition) -> int:
+        """``eval_simple`` as one value test per distinct value of the
+        condition's feature, ANDed for ``isA`` with a class feature with one
+        class-set test per distinct value of that feature."""
+        m = self._mask(c.feature, lambda v: eval_value(c, v, self.schema))
+        cf = class_feature(c, self.schema)
+        if cf is not None:
+            m &= self._mask(cf, lambda v: eval_classes(c, v))
+        return m
 
     def condition(self, c: Condition) -> int:
         m = self._masks.get(c)
