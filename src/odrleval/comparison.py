@@ -56,10 +56,14 @@ from .model import (
     FullPolicy,
     KIND_FOR_DATATYPE,
     LitePolicy,
+    MEMBERSHIP_OPERATORS,
+    NON_NULL_FEATURES,
     NULL,
     Operator,
     PAIRINGS,
     Policy,
+    SET_OPERATORS,
+    STRING_KINDS,
     TIMESTAMP_FEATURE,
     Value,
     ValueKind,
@@ -109,12 +113,11 @@ class WitnessDomain:
                     if decl.class_feature is not None:
                         touched.add(decl.class_feature)
                         set_atoms[decl.class_feature].update(sc.members)
-                elif sc.op in (Operator.HAS_PART, Operator.IS_PART_OF,
-                               Operator.IS_ALL_OF):
+                elif sc.op in SET_OPERATORS:
                     if decl.datatype is Datatype.IDENTIFIER_SET:
                         set_atoms[i].update(sc.members)
-                elif sc.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
-                    if expected in (ValueKind.IDENTIFIER, ValueKind.TEXT):
+                elif sc.op in MEMBERSHIP_OPERATORS:
+                    if expected in STRING_KINDS:
                         scalar_constants[i].update(sc.members)
                 elif sc.value.kind is expected:
                     scalar_constants[i].add(sc.value.raw)
@@ -139,20 +142,17 @@ class WitnessDomain:
                 vals = [Value.identifier_set(sub)
                         for k in range(len(atoms) + 1)
                         for sub in itertools.combinations(atoms, k)]
-                vals.append(NULL)
             elif decl.datatype is Datatype.IDENTIFIER:
                 mentioned = sorted(scalar_constants[i])
                 vals = [Value.identifier(m) for m in mentioned]
                 vals.append(Value.identifier(
                     _fresh_atom(f"~other-{decl.name}", mentioned)))
-                if i not in (TIMESTAMP_FEATURE, ACTION_FEATURE):
-                    vals.append(NULL)
             else:
                 raws = _ordered_probe_raws(decl.datatype, sorted(scalar_constants[i]))
                 kind = KIND_FOR_DATATYPE[decl.datatype]
                 vals = [Value(kind, r) for r in raws]
-                if i != TIMESTAMP_FEATURE:
-                    vals.append(NULL)
+            if i not in NON_NULL_FEATURES:
+                vals.append(NULL)
             probes.append(tuple(sorted(vals, key=Value.sort_key)))
         return WitnessDomain(schema, tuple(probes))
 

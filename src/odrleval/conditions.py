@@ -9,51 +9,36 @@ complement.
 
 from __future__ import annotations
 
+import operator
+
 from .model import (
     And,
     Condition,
     Constant,
     Event,
     FeatureSchema,
+    MEMBERSHIP_OPERATORS,
     Not,
+    ORDERED_KINDS,
+    ORDER_OPERATORS,
     Operator,
     Or,
+    STRING_KINDS,
     SimpleCondition,
     Value,
     ValueKind,
     Xor,
 )
 
-_ORDERABLE = (ValueKind.TIMESTAMP, ValueKind.NUMBER, ValueKind.TEXT)
-
-
-def _compare_scalar(op: Operator, left: Value, right: Value) -> bool:
-    """Two-valued scalar comparison; kind mismatches are errors, hence false.
-
-    Numbers compare numerically across int/float. Order comparisons are
-    defined for timestamps, numbers and text (codepoint order); identifiers
-    are opaque atoms and only support (in)equality.
-    """
-    lk, rk = left.kind, right.kind
-    if op is Operator.EQ or op is Operator.NEQ:
-        if lk is ValueKind.IDENTIFIER_SET or rk is ValueKind.IDENTIFIER_SET:
-            return False
-        if lk is not rk:
-            return False
-        same = left.raw == right.raw
-        return same if op is Operator.EQ else not same
-    if op in (Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ):
-        if lk is not rk or lk not in _ORDERABLE:
-            return False
-        a, b = left.raw, right.raw
-        if op is Operator.GT:
-            return a > b
-        if op is Operator.GTEQ:
-            return a >= b
-        if op is Operator.LT:
-            return a < b
-        return a <= b
-    raise AssertionError(f"not a scalar operator: {op}")
+_SCALAR = {
+    Operator.EQ: operator.eq, Operator.NEQ: operator.ne,
+    Operator.GT: operator.gt, Operator.GTEQ: operator.ge,
+    Operator.LT: operator.lt, Operator.LTEQ: operator.le,
+}
+_SET = {
+    Operator.HAS_PART: operator.ge, Operator.IS_PART_OF: operator.le,
+    Operator.IS_ALL_OF: operator.eq,
+}
 
 
 def class_feature(c: SimpleCondition, s: FeatureSchema) -> int | None:
@@ -69,31 +54,30 @@ def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
     if v.is_null:
         return False
 
-    if c.op is Operator.IS_A:
-        # <i, isA, v> is evaluated as <i_c, hasPart, {v}> over i's class set.
-        decl = s.declaration(c.feature)
-        if decl.class_feature is not None:
-            return True
-        return decl.classes is not None and decl.classes >= c.members
-
-    if c.op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF):
-        if v.kind is not ValueKind.IDENTIFIER_SET:
+    compare = _SCALAR.get(c.op)
+    if compare is not None:
+        if v.kind is not c.value.kind or (
+                c.op in ORDER_OPERATORS and v.kind not in ORDERED_KINDS):
             return False
-        if c.op is Operator.HAS_PART:
-            return v.raw >= c.members
-        if c.op is Operator.IS_PART_OF:
-            return v.raw <= c.members
-        return v.raw == c.members
+        return compare(v.raw, c.value.raw)
 
-    if c.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
+    compare = _SET.get(c.op)
+    if compare is not None:
+        return v.kind is ValueKind.IDENTIFIER_SET and compare(v.raw, c.members)
+
+    if c.op in MEMBERSHIP_OPERATORS:
         # Membership over identifier atoms; a set-valued or non-atom event
         # value is an evaluation error, so false for both operators.
-        if v.kind not in (ValueKind.TEXT, ValueKind.IDENTIFIER):
+        if v.kind not in STRING_KINDS:
             return False
         hit = v.raw in c.value.raw
         return hit if c.op is Operator.IS_ANY_OF else not hit
 
-    return _compare_scalar(c.op, v, c.value)
+    # <i, isA, v> is evaluated as <i_c, hasPart, {v}> over i's class set.
+    decl = s.declaration(c.feature)
+    if decl.class_feature is not None:
+        return True
+    return decl.classes is not None and decl.classes >= c.members
 
 
 def eval_classes(c: SimpleCondition, v: Value) -> bool:

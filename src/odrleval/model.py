@@ -56,6 +56,10 @@ class ValueKind(str, Enum):
     IDENTIFIER_SET = "identifier-set"
 
 
+# Kinds whose raw payload is a string, and kinds with a total order.
+STRING_KINDS = frozenset({ValueKind.TEXT, ValueKind.IDENTIFIER})
+ORDERED_KINDS = frozenset({ValueKind.TIMESTAMP, ValueKind.NUMBER, ValueKind.TEXT})
+
 # Which value kind an event slot of a given datatype may hold (besides NULL).
 KIND_FOR_DATATYPE = {
     Datatype.TIMESTAMP: ValueKind.TIMESTAMP,
@@ -84,7 +88,7 @@ class Value:
             or (k is ValueKind.TIMESTAMP and isinstance(r, int) and not isinstance(r, bool))
             or (k is ValueKind.NUMBER and isinstance(r, (int, float)) and not isinstance(r, bool)
                 and abs(r) <= sys.float_info.max)
-            or (k in (ValueKind.TEXT, ValueKind.IDENTIFIER) and isinstance(r, str))
+            or (k in STRING_KINDS and isinstance(r, str))
             or (k is ValueKind.IDENTIFIER_SET and isinstance(r, frozenset)
                 and all(isinstance(m, str) for m in r))
         )
@@ -184,6 +188,8 @@ CORE_TAGS = (ComponentTag.ACTION, ComponentTag.ASSET, ComponentTag.PARTY)
 
 TIMESTAMP_FEATURE = 0
 ACTION_FEATURE = 1
+# The slots every event fills: no value there is ever null.
+NON_NULL_FEATURES = frozenset({TIMESTAMP_FEATURE, ACTION_FEATURE})
 
 
 @dataclass(frozen=True)
@@ -445,8 +451,10 @@ class Operator(str, Enum):
     IS_NONE_OF = "isNoneOf"
 
 
-SCALAR_OPERATORS = frozenset(
-    {Operator.EQ, Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ, Operator.NEQ})
+ORDER_OPERATORS = frozenset({Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ})
+SCALAR_OPERATORS = ORDER_OPERATORS | {Operator.EQ, Operator.NEQ}
+SET_OPERATORS = frozenset({Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF})
+MEMBERSHIP_OPERATORS = frozenset({Operator.IS_ANY_OF, Operator.IS_NONE_OF})
 
 _OPERATOR_SYMBOL = {
     Operator.EQ: "=", Operator.GT: ">", Operator.GTEQ: ">=",
@@ -481,7 +489,7 @@ class SimpleCondition(Condition):
             if self.op in SCALAR_OPERATORS:
                 raise ModelInvariantError(
                     f"set-valued constant requires a set or class operator, not {self.op.value}")
-        elif self.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
+        elif self.op in MEMBERSHIP_OPERATORS:
             raise ModelInvariantError(
                 f"{self.op.value} requires a set-valued constant")
         elif self.op not in SCALAR_OPERATORS and not isinstance(self.value.raw, str):

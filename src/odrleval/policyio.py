@@ -26,7 +26,6 @@ from .evaluation import Finding, ViolationReport
 from .comparison import ConflictVerdict
 from .matching import require_well_formed
 from .model import (
-    ACTION_FEATURE,
     ActionVocabulary,
     And,
     ComponentTag,
@@ -39,6 +38,8 @@ from .model import (
     FeatureSchema,
     FullPolicy,
     LitePolicy,
+    MEMBERSHIP_OPERATORS,
+    NON_NULL_FEATURES,
     Not,
     NULL,
     Operator,
@@ -48,7 +49,6 @@ from .model import (
     RULE_WIDE,
     SCALAR_OPERATORS,
     SimpleCondition,
-    TIMESTAMP_FEATURE,
     Value,
     World,
     Xor,
@@ -312,7 +312,7 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     # so each distinct cell is parsed once and events share their values. A
     # failure is never stored: the first bad cell in row-major order raises.
     columns = [(header.index(decl.name), decl,
-                {} if decl.index in (TIMESTAMP_FEATURE, ACTION_FEATURE)
+                {} if decl.index in NON_NULL_FEATURES
                 else {"null": NULL})
                for decl in schema.features]
 
@@ -405,7 +405,7 @@ def _set_operand(raw, op: Operator, member, where: str) -> Value:
     lifted to a singleton set for isAnyOf and isNoneOf."""
     if isinstance(raw, list):
         return Value.identifier_set([member(m, where) for m in raw])
-    if op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
+    if op in MEMBERSHIP_OPERATORS:
         return Value.identifier_set([member(raw, where)])
     return Value.identifier(member(raw, where))
 

@@ -35,10 +35,16 @@ from .model import (
     FeatureSchema,
     FullPolicy,
     KIND_FOR_DATATYPE,
+    MEMBERSHIP_OPERATORS,
+    NON_NULL_FEATURES,
     Not,
+    ORDERED_KINDS,
+    ORDER_OPERATORS,
     Operator,
     Or,
     Policy,
+    SET_OPERATORS,
+    STRING_KINDS,
     SimpleCondition,
     TIMESTAMP_FEATURE,
     Value,
@@ -109,7 +115,7 @@ def create_table_sql(schema: FeatureSchema) -> str:
     cols = _columns(schema)
     lines = ["CREATE TABLE world_events (", "  event_id INTEGER NOT NULL"]
     for decl in schema.features:
-        null = " NOT NULL" if decl.index in (0, 1) else ""
+        null = " NOT NULL" if decl.index in NON_NULL_FEATURES else ""
         lines.append(f"  , {_q(cols[decl.index])} {_SQL_TYPE[decl.datatype]}{null}")
     lines.append("  , PRIMARY KEY (event_id)")
     lines.append(");")
@@ -134,7 +140,7 @@ def _literal(v: Value) -> str:
         if isinstance(v.raw, int) and not -2**63 <= v.raw < 2**63:
             raise QueryEmitError(f"integer {v.raw} lies outside the 64-bit range")
         return repr(v.raw)
-    if v.kind in (ValueKind.TEXT, ValueKind.IDENTIFIER):
+    if v.kind in STRING_KINDS:
         return _quote(v.raw)
     raise QueryEmitError(f"no scalar SQL literal for {v.kind.value}")
 
@@ -178,26 +184,27 @@ class _Compiler:
 
     def simple(self, c: SimpleCondition, alias: str) -> str:
         decl = self.schema.declaration(c.feature)
+        kind = KIND_FOR_DATATYPE[decl.datatype]
         col = f"{alias}.{_q(self.cols[c.feature])}"
         present = f"{col} IS NOT NULL"
 
         if c.op is Operator.IS_A:
             return self._is_a(c, col, present, alias)
 
-        if c.op in (Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF):
-            if decl.datatype is not Datatype.IDENTIFIER_SET:
+        if c.op in SET_OPERATORS:
+            if kind is not ValueKind.IDENTIFIER_SET:
                 return _FALSE
             members = sorted(c.members)
             feature_lit = _quote(self.cols[c.feature])
             terms = [present]
-            if c.op in (Operator.HAS_PART, Operator.IS_ALL_OF):
+            if c.op is not Operator.IS_PART_OF:
                 terms += [self._member_exists(alias, feature_lit, m) for m in members]
-            if c.op in (Operator.IS_PART_OF, Operator.IS_ALL_OF):
+            if c.op is not Operator.HAS_PART:
                 terms.append(self._only_members(alias, feature_lit, members))
             return "(" + " AND ".join(terms) + ")"
 
-        if c.op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF):
-            if decl.datatype not in (Datatype.IDENTIFIER, Datatype.STRING):
+        if c.op in MEMBERSHIP_OPERATORS:
+            if kind not in STRING_KINDS:
                 return _FALSE
             members = sorted(c.members)
             if not members:
@@ -208,10 +215,8 @@ class _Compiler:
             return f"({present} AND {test})"
 
         # scalar comparison; statically incomparable kinds are plain false
-        if c.value.kind is not KIND_FOR_DATATYPE[decl.datatype]:
-            return _FALSE
-        if c.op in (Operator.GT, Operator.GTEQ, Operator.LT, Operator.LTEQ) \
-                and decl.datatype is Datatype.IDENTIFIER:
+        if c.value.kind is not kind or (
+                c.op in ORDER_OPERATORS and kind not in ORDERED_KINDS):
             return _FALSE
         return f"({present} AND {col} {_SCALAR_SQL_OP[c.op]} {_literal(c.value)})"
 
