@@ -54,7 +54,6 @@ from .model import (
     EventRule,
     FeatureSchema,
     FullPolicy,
-    KIND_FOR_DATATYPE,
     LitePolicy,
     MEMBERSHIP_OPERATORS,
     NON_NULL_FEATURES,
@@ -106,7 +105,7 @@ class WitnessDomain:
                 i = sc.feature
                 decl = schema.declaration(i)
                 touched.add(i)
-                expected = KIND_FOR_DATATYPE[decl.datatype]
+                expected = schema.value_kinds[i]
                 if sc.op is Operator.IS_A:
                     # isA reads the class set; per-event classes live on the
                     # companion feature, so its atoms must cover them.
@@ -149,8 +148,7 @@ class WitnessDomain:
                     _fresh_atom(f"~other-{decl.name}", mentioned)))
             else:
                 raws = _ordered_probe_raws(decl.datatype, sorted(scalar_constants[i]))
-                kind = KIND_FOR_DATATYPE[decl.datatype]
-                vals = [Value(kind, r) for r in raws]
+                vals = [Value(schema.value_kinds[i], r) for r in raws]
             if i not in NON_NULL_FEATURES:
                 vals.append(NULL)
             probes.append(tuple(sorted(vals, key=Value.sort_key)))

@@ -5,6 +5,12 @@ errors (incomparable kinds, missing class information) simply evaluates to
 false, and a condition on a feature whose event value is null is false no
 matter the operator. The result is strictly two-valued, so negation is plain
 complement.
+
+``eval_value`` decides operators by table: a scalar operator is one of
+``operator.eq/ne/gt/ge/lt/le`` on the raw values, false unless both kinds
+agree and an order operator meets an ordered kind (timestamps, numbers
+across int/float, text by codepoint); a set operator is ``ge/le/eq`` on
+member sets.
 """
 
 from __future__ import annotations
@@ -30,15 +36,10 @@ from .model import (
     Xor,
 )
 
-_SCALAR = {
-    Operator.EQ: operator.eq, Operator.NEQ: operator.ne,
-    Operator.GT: operator.gt, Operator.GTEQ: operator.ge,
-    Operator.LT: operator.lt, Operator.LTEQ: operator.le,
-}
-_SET = {
-    Operator.HAS_PART: operator.ge, Operator.IS_PART_OF: operator.le,
-    Operator.IS_ALL_OF: operator.eq,
-}
+_SCALAR = {Operator.EQ: operator.eq, Operator.NEQ: operator.ne, Operator.GT: operator.gt,
+           Operator.GTEQ: operator.ge, Operator.LT: operator.lt, Operator.LTEQ: operator.le}
+_SET = {Operator.HAS_PART: operator.ge, Operator.IS_PART_OF: operator.le,
+        Operator.IS_ALL_OF: operator.eq}
 
 
 def class_feature(c: SimpleCondition, s: FeatureSchema) -> int | None:

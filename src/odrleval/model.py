@@ -426,7 +426,14 @@ class World:
 
 
 def conform_world(world: World, schema: FeatureSchema) -> None:
-    for e in world.events:
+    """Raise WorldConformanceError naming the first misfit in ``World.ordered`` order."""
+    try:
+        for e in world.events:
+            conform_event(e, schema)
+        return
+    except WorldConformanceError:
+        pass
+    for e in world.ordered():
         conform_event(e, schema)
 
 
@@ -456,12 +463,9 @@ SCALAR_OPERATORS = ORDER_OPERATORS | {Operator.EQ, Operator.NEQ}
 SET_OPERATORS = frozenset({Operator.HAS_PART, Operator.IS_PART_OF, Operator.IS_ALL_OF})
 MEMBERSHIP_OPERATORS = frozenset({Operator.IS_ANY_OF, Operator.IS_NONE_OF})
 
-_OPERATOR_SYMBOL = {
+_SCALAR_SYMBOL = {
     Operator.EQ: "=", Operator.GT: ">", Operator.GTEQ: ">=",
     Operator.LT: "<", Operator.LTEQ: "<=", Operator.NEQ: "!=",
-    Operator.IS_A: "isA", Operator.HAS_PART: "hasPart",
-    Operator.IS_PART_OF: "isPartOf", Operator.IS_ALL_OF: "isAllOf",
-    Operator.IS_ANY_OF: "isAnyOf", Operator.IS_NONE_OF: "isNoneOf",
 }
 
 
@@ -506,7 +510,7 @@ class SimpleCondition(Condition):
 
     def render(self, schema: FeatureSchema | None = None) -> str:
         name = schema.declaration(self.feature).name if schema else f"f{self.feature}"
-        return f"<{name} {_OPERATOR_SYMBOL[self.op]} {self.value.render()}>"
+        return f"<{name} {_SCALAR_SYMBOL.get(self.op, self.op.value)} {self.value.render()}>"
 
 
 @dataclass(frozen=True)
@@ -743,10 +747,12 @@ class FullPolicy:
         for pairing in PAIRINGS:
             tuples = frozenset(getattr(self, pairing.field))
             object.__setattr__(self, pairing.field, tuples)
-            for t in tuples:
-                if len(t) != len(pairing.members):
-                    raise PolicyInvariantError(
-                        f"{pairing.key}: every entry is a ({', '.join(pairing.members)}) tuple")
+            if any(len(t) != len(pairing.members)
+                   or not all(isinstance(r, EventRule) for r in t) for t in tuples):
+                raise PolicyInvariantError(
+                    f"{pairing.key}: every entry is a ({', '.join(pairing.members)}) tuple")
+            # in canonical order, so the offender named does not follow the hash seed
+            for t in ordered_tuples(tuples):
                 for i, (member, rule) in enumerate(zip(pairing.members, t)):
                     if pairing.is_lead(i):
                         if rule in getattr(self.lite, pairing.lead):

@@ -34,7 +34,6 @@ from .model import (
     EventRule,
     FeatureSchema,
     FullPolicy,
-    KIND_FOR_DATATYPE,
     MEMBERSHIP_OPERATORS,
     NON_NULL_FEATURES,
     Not,
@@ -183,8 +182,7 @@ class _Compiler:
         raise AssertionError(f"unknown condition node {c!r}")
 
     def simple(self, c: SimpleCondition, alias: str) -> str:
-        decl = self.schema.declaration(c.feature)
-        kind = KIND_FOR_DATATYPE[decl.datatype]
+        kind = self.schema.value_kinds[c.feature]
         col = f"{alias}.{_q(self.cols[c.feature])}"
         present = f"{col} IS NOT NULL"
 

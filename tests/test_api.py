@@ -123,3 +123,27 @@ def test_document_errors_do_not_format_their_own_place():
                 offending.append(f"{path.name}:{node.lineno}")
     assert calls > 60
     assert offending == []
+
+
+def _operator_members(node) -> int:
+    """How many ``Operator.X`` members a tuple, list or set display holds."""
+    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return 0
+    return sum(isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+               and e.value.id == "Operator" for e in node.elts)
+
+
+def test_operator_families_are_declared_once():
+    # model names each operator family (ORDER_OPERATORS, SET_OPERATORS, ...);
+    # a membership test against an inline display of members spells one out
+    # again, where it can drift from the rest.
+    src = Path(odrleval.__file__).parent
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                offending += [f"{path.name}:{node.lineno}"
+                              for op, right in zip(node.ops, node.comparators)
+                              if isinstance(op, (ast.In, ast.NotIn))
+                              and _operator_members(right) >= 2]
+    assert offending == []

@@ -27,7 +27,7 @@ from odrleval import (
     feature_component,
     validate_schema,
 )
-from conftest import ACTOR, ASSET, make_event, make_schema, eq, ts
+from conftest import ACTOR, ASSET, make_event, make_schema, eq, ts, under_hash_seeds
 
 
 def test_demo_schema_is_valid(schema):
@@ -168,6 +168,31 @@ def test_world_checks_conformance(schema):
         World.of((bad,), schema)
 
 
+def test_conformance_names_first_offender_in_canonical_order():
+    # Two events carry the wrong kind in the Actor slot; each entry point
+    # names the earlier one, whatever order the hash seed gives the world.
+    # No slot is null: hash(None) follows its address, not the seed.
+    code = """
+from conftest import ACTOR, make_event, make_p1, make_schema
+from odrleval import (Event, LitePolicy, Value, World, WorldConformanceError,
+                      evaluate_lite, world_insert_sql)
+schema = make_schema()
+def actor(t, v):
+    values = list(make_event(t, "Print", None, "Book", 600, 300).values)
+    values[ACTOR] = v
+    return Event(values)
+world = World.of((actor(2, Value.number(7)), actor(3, Value.text("Bob"))))
+for call in (lambda: evaluate_lite(LitePolicy.of({make_p1()}), world, schema),
+             lambda: world_insert_sql(world, schema)):
+    try:
+        call()
+    except WorldConformanceError as exc:
+        print(exc)
+"""
+    expected = "feature 2 (Actor) expects identifier, event carries number\n" * 2
+    assert under_hash_seeds(code) == [expected] * 3
+
+
 def test_value_kind_checks():
     with pytest.raises(ModelInvariantError):
         Value.timestamp("three")
@@ -224,6 +249,22 @@ def test_full_policy_duty_must_be_permitted():
         FullPolicy.of(lite, duty_pairs={(perm, duty)})
     ok = FullPolicy.of(LitePolicy.of({perm, duty}), duty_pairs={(perm, duty)})
     assert (perm, duty) in ok.duty_pairs
+
+
+def test_full_policy_names_first_offending_pairing_in_canonical_order():
+    # One pairing holds a non-permission first, the other second; the
+    # message names the one rendered first, whatever the hash seed.
+    code = """
+from conftest import eq
+from odrleval import EventRule, FullPolicy, LitePolicy, PolicyInvariantError
+p, d, x = (EventRule.of(eq(1, a), label=a) for a in ("Print", "Pay", "Read"))
+try:
+    FullPolicy.of(LitePolicy.of({p, d}), duty_pairs={(x, d), (p, x)})
+except PolicyInvariantError as exc:
+    print(exc)
+"""
+    expected = "dutyPairs: every duty must be a permission\n"
+    assert under_hash_seeds(code, seeds=("1", "2", "3", "4", "5", "6")) == [expected] * 6
 
 
 def test_full_policy_remedied_prohibition_not_in_f():
