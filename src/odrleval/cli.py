@@ -199,9 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None   # built on the first call to main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

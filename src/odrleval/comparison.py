@@ -39,7 +39,7 @@ from .errors import (
 from .evaluation import evaluate_full, evaluate_lite
 from .matching import (
     MatchTable,
-    check_well_formed,
+    is_well_formed,
     lowest_bit,
     match_unchecked,
     require_well_formed,
@@ -393,7 +393,7 @@ def _carve_obligation(rule: EventRule, prohibitions, schema, table):
             return None  # prohibition swallows the obligation entirely
         block = targets[0] if len(targets) == 1 else And(tuple(targets))
         candidate = EventRule(current.conditions | {negate(block)}, label=rule.label)
-        if not check_well_formed(candidate, schema).ok:
+        if not is_well_formed(candidate, schema):
             raise NormalizationError(
                 "inexpressible-difference",
                 f"complement of prohibition {f.display_label(schema)} mixes "
@@ -450,7 +450,7 @@ def _normalize(table: MatchTable, p: LitePolicy, max_rules: int) -> LitePolicy:
         if len(overlapping) == 1:
             merged = EventRule(
                 carved.conditions | overlapping[0].conditions, label=carved.label)
-            assert check_well_formed(merged, schema).ok
+            assert is_well_formed(merged, schema)
             new_obligations.append(merged)
             continue
         raise NormalizationError(

@@ -14,6 +14,7 @@ values and a function from one flag per value to a bitset.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 
@@ -35,9 +36,14 @@ from .model import (
     FeatureSchema,
     Not,
     Operator,
+    ORDERED_KINDS,
+    ORDER_OPERATORS,
     Or,
     RULE_WIDE,
+    STRING_KINDS,
     SimpleCondition,
+    Value,
+    ValueKind,
     Xor,
     features_of,
     is_deadline,
@@ -112,10 +118,21 @@ def check_well_formed(rule: EventRule, schema: FeatureSchema) -> WellFormednessR
     return WellFormednessReport(not violations, tuple(violations))
 
 
+def is_well_formed(rule: EventRule, schema: FeatureSchema) -> bool:
+    """``check_well_formed(rule, schema).ok``, decided once per rule and
+    schema: the verdict is kept in ``schema.well_formed_verdicts``."""
+    verdicts = schema.well_formed_verdicts
+    ok = verdicts.get(rule)
+    if ok is None:
+        ok = verdicts[rule] = check_well_formed(rule, schema).ok
+    return ok
+
+
 def require_well_formed(rules, schema: FeatureSchema) -> None:
     """The well-formedness gate for a rule set: raise IllFormedRuleError
-    for the first ill-formed rule in ``ordered_rules`` order."""
-    ill = [r for r in rules if not check_well_formed(r, schema).ok]
+    for the first ill-formed rule in ``ordered_rules`` order. The report is
+    built afresh, so it names that rule's own label."""
+    ill = [r for r in rules if not is_well_formed(r, schema)]
     if ill:
         report = check_well_formed(ordered_rules(ill)[0], schema)
         raise IllFormedRuleError(
@@ -192,6 +209,12 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+# Order operator -> the bisection that splits a sorted column at the
+# constant, and whether the values above that split hold.
+_BISECT = {Operator.GT: (bisect_right, True), Operator.GTEQ: (bisect_left, True),
+           Operator.LT: (bisect_left, False), Operator.LTEQ: (bisect_right, False)}
+
+
 class EventList(tuple):
     """Events in a fixed order, with the column view ``MatchTable`` reads."""
 
@@ -224,21 +247,74 @@ class MatchTable:
         self.schema = schema
         self.all = (1 << len(self.events)) - 1
         self._columns: dict = {}   # feature index -> (values, expand)
+        self._lookups: dict = {}   # feature index -> {value: positions}
+        self._sorted: dict = {}    # (feature index, kind) -> (raws, positions)
         self._masks: dict = {}     # condition -> match set
 
-    def _mask(self, i: int, test) -> int:
-        """The events whose feature ``i`` value passes ``test``."""
+    def _column(self, i: int):
         col = self._columns.get(i)
         if col is None:
             col = self._columns[i] = self.events.column(i)
-        values, expand = col
+        return col
+
+    def _mask(self, i: int, test) -> int:
+        """The events whose feature ``i`` value passes ``test``."""
+        values, expand = self._column(i)
         return expand([test(v) for v in values])
 
+    def _flagged(self, i: int, positions) -> int:
+        """The events whose feature ``i`` value sits at one of ``positions``
+        of the column."""
+        values, expand = self._column(i)
+        flags = bytearray(len(values))
+        for p in positions:
+            flags[p] = 1
+        return expand(flags)
+
+    def _positions(self, i: int, v: Value) -> list:
+        """The column positions of feature ``i`` holding a value equal to
+        ``v``; equal values may be written differently, as 1 and 1.0."""
+        lookup = self._lookups.get(i)
+        if lookup is None:
+            lookup = self._lookups[i] = {}
+            for p, w in enumerate(self._column(i)[0]):
+                lookup.setdefault(w, []).append(p)
+        return lookup.get(v, [])
+
+    def _ordered(self, i: int, kind: ValueKind) -> tuple:
+        """Feature ``i``'s column values of ``kind`` in ascending order, as
+        parallel lists of raw payloads and column positions."""
+        key = (i, kind)
+        ordered = self._sorted.get(key)
+        if ordered is None:
+            values = self._column(i)[0]
+            order = sorted((p for p, v in enumerate(values) if v.kind is kind),
+                           key=lambda p: values[p].raw)
+            ordered = self._sorted[key] = ([values[p].raw for p in order], order)
+        return ordered
+
     def _simple(self, c: SimpleCondition) -> int:
-        """``eval_simple`` as one value test per distinct value of the
-        condition's feature, ANDed for ``isA`` with a class feature with one
-        class-set test per distinct value of that feature."""
-        m = self._mask(c.feature, lambda v: eval_value(c, v, self.schema))
+        """``eval_simple`` over a column: ``=`` and ``isAnyOf`` by lookup,
+        the order operators by one bisection over the values of the
+        constant's kind, any other operator by one value test per column
+        value. An ``isA`` with a class feature is ANDed with one class-set
+        test per value of that feature."""
+        i, op, constant = c.feature, c.op, c.value
+        if op is Operator.EQ:
+            m = self._flagged(i, self._positions(i, constant))
+        elif op is Operator.IS_ANY_OF:
+            m = self._flagged(i, [p for member in constant.raw for kind in STRING_KINDS
+                                  for p in self._positions(i, Value(kind, member))])
+        elif op in ORDER_OPERATORS:
+            if constant.kind in ORDERED_KINDS:
+                raws, order = self._ordered(i, constant.kind)
+                find, above = _BISECT[op]
+                k = find(raws, constant.raw)
+                m = self._flagged(i, order[k:] if above else order[:k])
+            else:
+                m = 0   # an order test on an unordered kind is false
+        else:
+            m = self._mask(i, lambda v: eval_value(c, v, self.schema))
         cf = class_feature(c, self.schema)
         if cf is not None:
             m &= self._mask(cf, lambda v: eval_classes(c, v))

@@ -70,6 +70,9 @@ KIND_FOR_DATATYPE = {
 }
 
 
+_NULL_HASH = 0x6E756C6C
+
+
 @dataclass(frozen=True)
 class Value:
     """A single feature value: null, a constant, or a finite set of constants.
@@ -94,6 +97,17 @@ class Value:
         )
         if not ok:
             raise ModelInvariantError(f"raw payload {r!r} does not fit value kind {k.value}")
+        # Hashed once, from the payload alone: equal values (1 and 1.0, 0.0
+        # and -0.0) share a hash, and null gets a constant, because
+        # hash(None) follows its address and would move from run to run.
+        object.__setattr__(self, "_hash", _NULL_HASH if r is None else hash(r))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the cached hash of a string payload is only valid in this process
+        return Value, (self.kind, self.raw)
 
     # -- constructors -------------------------------------------------------
 
@@ -274,6 +288,13 @@ class FeatureSchema:
     def value_kinds(self) -> tuple:
         """The value kind each event slot holds when it is not null."""
         return tuple(KIND_FOR_DATATYPE[decl.datatype] for decl in self.features)
+
+    @functools.cached_property
+    def well_formed_verdicts(self) -> dict:
+        """Memo of ``matching.is_well_formed``: rule -> whether it is
+        well-formed under this schema. A rule's label takes no part in its
+        equality or in the verdict, so only the verdict is kept."""
+        return {}
 
 
 def validate_schema(schema: FeatureSchema) -> FeatureSchema:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from odrleval.cli import main
-from conftest import not_chain
+from conftest import not_chain, under_hash_seeds
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -490,6 +490,41 @@ def test_each_event_is_conformed_once(capsys, monkeypatch):
                      "--schema", str(DEMO / "schema.json"))
     assert code == 1
     assert sorted(calls, key=model.Event.sort_key) == list(world.ordered())
+
+
+def test_each_rule_is_gated_once_per_call(capsys, monkeypatch):
+    # The policy parser, saturate and evaluate_full each gate their rules;
+    # the schema keeps each verdict, so every distinct rule is checked once.
+    from collections import Counter
+    from odrleval import matching
+    calls = []
+    check = matching.check_well_formed
+    monkeypatch.setattr(matching, "check_well_formed",
+                        lambda rule, schema: calls.append(rule) or check(rule, schema))
+    golden = Path(__file__).resolve().parent / "golden"
+    code, _, _ = run(capsys, "evaluate", "--policy", str(golden / "full-policy.json"),
+                     "--world", str(golden / "full-world.csv"),
+                     "--schema", str(DEMO / "schema.json"),
+                     "--vocab", str(DEMO / "vocabulary.json"))
+    assert code == 1 and calls
+    assert set(Counter(calls).values()) == {1}
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import odrleval.cli
+print(len(built))
+odrleval.cli.build_parser()
+print(len(built) > 0)
+"""
+    assert under_hash_seeds(code, seeds=("1",)) == ["0\nTrue\n"]
 
 
 def test_emit_query_nul_in_policy_string_exits_2(capsys, tmp_path):

@@ -78,11 +78,42 @@ def run_case(argv, out_dir: Path) -> dict:
             "files": files}
 
 
+def _expected(case: str) -> dict:
+    return json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
-    assert run_case(CASES[case], tmp_path / "out") == expected
+    assert run_case(CASES[case], tmp_path / "out") == _expected(case)
+
+
+def test_golden_cases_repeat_in_one_process(tmp_path, monkeypatch):
+    # main reuses one parser: every case, run once in order and once in
+    # reverse order in the same process, gives its golden output both times.
+    monkeypatch.chdir(ROOT)
+    for run, order in enumerate((sorted(CASES), sorted(CASES, reverse=True))):
+        for case in order:
+            assert run_case(CASES[case], tmp_path / f"{run}-{case}") == _expected(case), case
+
+
+def test_normalize_flag_does_not_outlive_its_call(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    plain = "compare-asymmetric-odrl-provider"
+    assert _expected(plain) != _expected(f"{plain}-normalize")
+    for case in (f"{plain}-normalize", plain, f"{plain}-normalize", plain):
+        assert run_case(CASES[case], tmp_path / "out") == _expected(case), case
+
+
+def test_usage_error_between_calls_changes_neither(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    case = "compare-symmetric-odrl-provider-normalize"
+    assert run_case(CASES[case], tmp_path / "out") == _expected(case)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["compare", *CASES[case][1:], "--mode", "sideways"])
+    assert exit_.value.code == 2 and "invalid choice: 'sideways'" in err.getvalue()
+    assert run_case(CASES[case], tmp_path / "out") == _expected(case)
 
 
 def test_every_golden_file_has_a_case():

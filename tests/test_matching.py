@@ -15,6 +15,7 @@ from odrleval import (
     FeatureDecl,
     FeatureSchema,
     IllFormedRuleError,
+    NULL,
     Not,
     Operator,
     Or,
@@ -30,8 +31,15 @@ from odrleval import (
     softmatch,
     strip_deadline_conditions,
 )
+from odrleval.conditions import eval_value
 from odrleval.matching import MatchTable, bit_positions, match_unchecked
-from odrleval.model import features_of, simple_conditions_of
+from odrleval.model import (
+    MEMBERSHIP_OPERATORS,
+    SCALAR_OPERATORS,
+    ValueKind,
+    features_of,
+    simple_conditions_of,
+)
 from conftest import (
     ACTION,
     ACTOR,
@@ -170,6 +178,31 @@ for call in (lambda: evaluate_lite(p, World.of(()), schema),
 """
     expected = "rule bad0: well-formedness item 1 violated by features [1]\n" * 5
     assert under_hash_seeds(code) == [expected] * 3
+
+
+def test_gate_verdict_belongs_to_its_schema(e1):
+    # Print.Resolution refines Action in the demo schema but Asset here,
+    # so the same rule is well-formed under one schema and not the other.
+    rule = EventRule.of(eq(ACTION, "Print"), num(RESOLUTION, Operator.GT, 100))
+    base = make_schema().features
+    moved = FeatureSchema(base[:RESOLUTION] + (
+        FeatureDecl(RESOLUTION, "Print.Resolution", Datatype.NUMERIC,
+                    ComponentTag.REFINES, refines=ASSET),) + base[RESOLUTION + 1:])
+    for _ in range(2):
+        assert match(rule, e1, make_schema()) is True
+        with pytest.raises(IllFormedRuleError, match="item 2 violated by features"):
+            match(rule, e1, moved)
+
+
+def test_gate_names_each_rule_by_its_own_label(schema, e1):
+    # The two rules are equal, since labels take no part in equality; the
+    # second still gets its own label although its verdict is already known.
+    for label in ("first", "second", "first"):
+        rule = EventRule.of(eq(ACTOR, "Alice"), label=label)
+        with pytest.raises(IllFormedRuleError) as exc:
+            match(rule, e1, schema)
+        assert str(exc.value).startswith(f"rule {label}: ")
+        assert {v.rule_label for v in exc.value.violations} == {label}
 
 
 def test_softmatch_keeps_strict_deadline(schema, o1, e2):
@@ -327,6 +360,77 @@ def test_domain_table_lists_no_events(schema, monkeypatch):
     rule = bounds_rule(60)
     assert rule_contains(rule, rule, schema)
     assert len(built) == 0
+
+
+# -- lookups and bisections against the per-value test ----------------------
+
+def _column_values():
+    """Values of every kind for one column, with equal values written
+    differently (1 and 1.0, 0.0 and -0.0) and text holding U+0000."""
+    strings = ("", "\x00", "a", "a\x00", "b")
+    return st.one_of(
+        st.just(NULL),
+        st.integers(-2, 2).map(Value.timestamp),
+        st.sampled_from((-1, 0, 0.0, -0.0, 1, 1.0, 2.5, 2 ** 60)).map(Value.number),
+        st.sampled_from(strings).map(Value.text),
+        st.sampled_from(strings).map(Value.identifier),
+        st.frozensets(st.sampled_from(strings), max_size=2).map(Value.identifier_set))
+
+
+def _lookup_conditions():
+    scalar = _column_values().filter(
+        lambda v: not v.is_null and v.kind is not ValueKind.IDENTIFIER_SET)
+    members = st.frozensets(st.sampled_from(("", "\x00", "a", "a\x00", "b", "c")),
+                            max_size=3).map(Value.identifier_set)
+    return st.one_of(
+        st.builds(SimpleCondition, st.just(ACTOR),
+                  st.sampled_from(sorted(SCALAR_OPERATORS)), scalar),
+        st.builds(SimpleCondition, st.just(ACTOR),
+                  st.sampled_from(sorted(MEMBERSHIP_OPERATORS)), members))
+
+
+def _single_column_sequences(values):
+    """A world's event list and a witness domain whose Actor column holds
+    ``values``; every other feature holds one value."""
+    def event(t, v):
+        return Event((Value.timestamp(t), Value.identifier("Read"), v, NULL, NULL, NULL))
+    events = [event(t, v) for t, v in enumerate(values)]
+    domain = WitnessDomain(make_schema(), ((Value.timestamp(0),), (Value.identifier("Read"),),
+                                           tuple(values), (NULL,), (NULL,), (NULL,)))
+    return events, domain
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_column_values(), min_size=1, max_size=10),
+       st.lists(_lookup_conditions(), min_size=1, max_size=4))
+@example([Value.number(1), Value.number(1.0), Value.number(-0.0), Value.number(0)],
+         [num(ACTOR, op, x) for op in (Operator.EQ, Operator.GT, Operator.LTEQ)
+          for x in (1, 0.0)])
+@example([Value.text("a"), Value.identifier("a"), Value.text("a\x00"), NULL],
+         [SimpleCondition(ACTOR, op, Value.identifier_set({"a"}))
+          for op in (Operator.IS_ANY_OF, Operator.IS_NONE_OF)]
+         + [SimpleCondition(ACTOR, Operator.GT, Value.text("a"))])
+def test_lookup_masks_equal_value_test_masks(values, conditions):
+    # A world's column holds each value once; a witness-domain column may
+    # repeat a value, and a lookup must flag every position holding it.
+    schema = make_schema()
+    events, domain = _single_column_sequences(values)
+    for source, sequence in ((events, events), (domain, list(domain.events()))):
+        table = MatchTable(source, schema)
+        for c in conditions:
+            expected = sum(1 << j for j, e in enumerate(sequence)
+                           if eval_value(c, e.value(ACTOR), schema))
+            assert table.condition(c) == expected, c
+
+
+def test_order_condition_makes_no_value_tests(schema, monkeypatch):
+    import odrleval.matching
+    calls = []
+    monkeypatch.setattr(odrleval.matching, "eval_value",
+                        lambda *args: calls.append(args) or eval_value(*args))
+    table = MatchTable([make_event(t, "Read", "Bob", "Book") for t in range(2000)], schema)
+    assert bit_positions(table.condition(ts(Operator.GTEQ, 1500))) == list(range(1500, 2000))
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -171,14 +171,14 @@ def test_world_checks_conformance(schema):
 def test_conformance_names_first_offender_in_canonical_order():
     # Two events carry the wrong kind in the Actor slot; each entry point
     # names the earlier one, whatever order the hash seed gives the world.
-    # No slot is null: hash(None) follows its address, not the seed.
+    # The Print.Resolution slot is null, which hashes the same in every run.
     code = """
 from conftest import ACTOR, make_event, make_p1, make_schema
 from odrleval import (Event, LitePolicy, Value, World, WorldConformanceError,
                       evaluate_lite, world_insert_sql)
 schema = make_schema()
 def actor(t, v):
-    values = list(make_event(t, "Print", None, "Book", 600, 300).values)
+    values = list(make_event(t, "Print", None, "Book", None, 300).values)
     values[ACTOR] = v
     return Event(values)
 world = World.of((actor(2, Value.number(7)), actor(3, Value.text("Bob"))))
@@ -191,6 +191,47 @@ for call in (lambda: evaluate_lite(LitePolicy.of({make_p1()}), world, schema),
 """
     expected = "feature 2 (Actor) expects identifier, event carries number\n" * 2
     assert under_hash_seeds(code) == [expected] * 3
+
+
+def test_value_hash_repeats_under_one_hash_seed():
+    # hash(None) follows the object's address, so a null slot once moved
+    # hash(NULL) and the order of a world's events from run to run.
+    code = """
+from conftest import make_schema
+from odrleval import NULL, Event, Value, World
+def event(t, actor):
+    return Event((Value.timestamp(t), Value.identifier("Read"), actor,
+                  Value.identifier("Book"), NULL, NULL))
+world = World.of((event(2, Value.number(7)), event(3, Value.text("Bob"))))
+print(hash(NULL), [e.timestamp for e in world.events])
+"""
+    outs = under_hash_seeds(code, seeds=("2", "2", "2"))
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("a, b", [
+    (Value.number(1), Value.number(1.0)),
+    (Value.number(0.0), Value.number(-0.0)),
+    (Value.identifier_set(["a", "b"]), Value.identifier_set(["b", "a"])),
+    (NULL, Value(NULL.kind, None)),
+])
+def test_equal_values_hash_equal(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+def test_value_hash_survives_pickling_across_hash_seeds():
+    # A value's hash is cached, so unpickling must compute it again under
+    # the new process's string hashing.
+    import pickle
+    data = pickle.dumps((Value.text("Bob"), Value.identifier("Read"), NULL))
+    code = f"""
+import pickle
+from odrleval import NULL, Value
+values = pickle.loads({data!r})
+fresh = (Value.text("Bob"), Value.identifier("Read"), NULL)
+print(values == fresh, [hash(v) for v in values] == [hash(v) for v in fresh])
+"""
+    assert under_hash_seeds(code) == ["True True\n"] * 3
 
 
 def test_value_kind_checks():
