@@ -424,9 +424,8 @@ def test_lookup_masks_equal_value_test_masks(values, conditions):
 
 
 def test_order_condition_makes_no_value_tests(schema, monkeypatch):
-    import odrleval.matching
     calls = []
-    monkeypatch.setattr(odrleval.matching, "eval_value",
+    monkeypatch.setattr("odrleval.matching.eval_value",
                         lambda *args: calls.append(args) or eval_value(*args))
     table = MatchTable([make_event(t, "Read", "Bob", "Book") for t in range(2000)], schema)
     assert bit_positions(table.condition(ts(Operator.GTEQ, 1500))) == list(range(1500, 2000))
