@@ -14,14 +14,16 @@ The domain is the product of the per-feature probes, and a match table over
 it never lists that product: ``WitnessDomain.column(i)`` gives feature
 ``i``'s probes and lays one flag per probe out over the domain, so each
 condition's bitset comes from the product structure. A witness bit is
-decoded back into its event. The brute-force oracle still enumerates the
-events.
+decoded back into its event.
 
 Conflict detection follows the containment characterization for consistent
 policies: the requester conflicts with the provider when its permissions are
 not covered by the provider's, or some provider obligation has no agreeing
 requester obligation. The independent oracle enumerates bounded worlds drawn
-from the witness domain instead, and the two must agree on consistent input.
+from the witness domain's listed events instead, matches each event with
+``match_unchecked`` and judges each world by the seven clauses' formulas,
+sharing no code with the match table or the evaluators. The two must agree
+on consistent input.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from .errors import (
     InconsistentPolicyError,
     NormalizationError,
 )
-from .evaluation import evaluate_full, evaluate_lite
 from .matching import (
     MatchTable,
     is_well_formed,
     lowest_bit,
     match_unchecked,
     require_well_formed,
+    strip_deadline_conditions,
     top_level_equalities,
 )
 from .model import (
@@ -600,100 +602,76 @@ def brute_force_containment(p: Policy, p_prime: Policy, schema: FeatureSchema,
                             max_world_size: int | None = None) -> bool:
     """Containment by bounded-world enumeration.
 
-    Enumerates every world of size up to one more than the number of
-    obligations (the proof-guided bound: one event per obligation plus one
-    extra), drawn from the witness-domain product, and reports False exactly
-    when some such world is valid for ``p`` and violating for ``p_prime``.
-    Full policies are handled best-effort with deadline-derived timestamp
-    probes; completeness is only claimed for consistent lite policies.
+    Enumerates every world of at most n + 1 events, n being the number of
+    obligations and pairings of ``p`` (a lite policy is the full policy with
+    no pairings), drawn from the witness-domain events ``p`` admits, and
+    reports False exactly when some such world is valid for ``p`` and
+    violating for ``p_prime``. Each world is judged by ``_reference_valid``,
+    not by the evaluators. When either side has a pairing, every timestamp
+    constant +/- 1 is a probe too, so two events can be ordered between
+    adjacent bounds. Completeness is only claimed for consistent lite
+    policies.
     """
-    full = isinstance(p, FullPolicy) or isinstance(p_prime, FullPolicy)
-    if full:
-        return _brute_force_full(p, p_prime, schema, max_events, max_world_size)
-    return _brute_force_lite(p, p_prime, schema, max_events, max_world_size)
-
-
-def _admits(p: LitePolicy, e: Event, schema) -> bool:
-    """Some permission and no prohibition of ``p`` matches the event."""
-    return (any(match_unchecked(r, e, schema) for r in p.permissions)
-            and not any(match_unchecked(r, e, schema) for r in p.prohibitions))
-
-
-def _oracle_pool(rules, p: LitePolicy, schema, max_events,
-                 extra_timestamps=()) -> list:
-    """The probe events of the rules' witness domain that ``p`` admits.
-
-    A counterexample world is valid for p, so every event in it is
-    p-permitted and p-unforbidden; restricting the pool to those events
-    discards no candidate world.
-    """
-    domain = _domain(schema, rules, max_events, extra_timestamps)
-    return [e for e in domain.events(max_events) if _admits(p, e, schema)]
-
-
-def _brute_force_lite(p: LitePolicy, p_prime: LitePolicy, schema,
-                      max_events, max_world_size) -> bool:
+    p, p_prime = as_full(p), as_full(p_prime)
     rules = tuple(p.all_rules()) + tuple(p_prime.all_rules())
-    pool = _oracle_pool(rules, p, schema, max_events)
-    bound = (len(p.obligations) + 1) if max_world_size is None else max_world_size
+    extra = ()
+    if any(getattr(q, pairing.field) for q in (p, p_prime) for pairing in PAIRINGS):
+        extra = {sc.value.raw + d for rule in rules for cond in rule.conditions
+                 for sc in simple_conditions_of(cond) for d in (-1, 1)
+                 if sc.feature == TIMESTAMP_FEATURE and sc.value.kind is ValueKind.TIMESTAMP}
+    domain = _domain(schema, rules, max_events, extra)
 
-    o_masks = [_mask(rule, pool, schema) for rule in ordered_rules(p.obligations)]
-    bad_for_p_prime = [not _admits(p_prime, e, schema) for e in pool]
-    o_prime_masks = [_mask(rule, pool, schema)
-                     for rule in ordered_rules(p_prime.obligations)]
-
-    for size in range(0, min(bound, len(pool)) + 1):
-        for combo in itertools.combinations(range(len(pool)), size):
-            wmask = 0
-            for j in combo:
-                wmask |= 1 << j
-            if any(m & wmask == 0 for m in o_masks):
-                continue  # p-obligation unfulfilled: not p-valid
-            violates = (any(bad_for_p_prime[j] for j in combo)
-                        or any(m & wmask == 0 for m in o_prime_masks))
-            if violates:
-                world = World(frozenset(pool[j] for j in combo))
-                # Confirm through the evaluators; the bit tables must agree.
-                assert evaluate_lite(p, world, schema).valid
-                assert not evaluate_lite(p_prime, world, schema).valid
-                return False
-    return True
-
-
-def _mask(rule, pool, schema) -> int:
-    m = 0
-    for j, e in enumerate(pool):
-        if match_unchecked(rule, e, schema):
-            m |= 1 << j
-    return m
-
-
-def _brute_force_full(p: Policy, p_prime: Policy, schema,
-                      max_events, max_world_size) -> bool:
-    p_full, q_full = as_full(p), as_full(p_prime)
-    rules = tuple(p_full.all_rules()) + tuple(q_full.all_rules())
-
-    # Deadline constants +/- 1 give the enumeration enough timestamp
-    # resolution to order events around each deadline.
-    extra = set()
-    for rule in rules:
-        for c in deadline_conditions(rule):
-            extra.update((c.value.raw - 1, c.value.raw, c.value.raw + 1))
-        for sc in (x for cond in rule.conditions for x in simple_conditions_of(cond)):
-            if sc.feature == TIMESTAMP_FEATURE and sc.value.kind is ValueKind.TIMESTAMP:
-                extra.update((sc.value.raw - 1, sc.value.raw + 1))
-
-    pool = _oracle_pool(rules, p_full.lite, schema, max_events, extra)
+    # A world valid for p holds only events some permission of p matches and
+    # no prohibition does. Two events with equal facts are interchangeable in
+    # every clause, so the pool keeps one.
+    judged, stripped = _judged_rules(p, p_prime)
+    pool = list(dict.fromkeys(
+        _facts(e, judged, schema) for e in domain.events(max_events)
+        if any(match_unchecked(r, e, schema) for r in p.lite.permissions)
+        and not any(match_unchecked(r, e, schema) for r in p.lite.prohibitions)))
     bound = max_world_size
     if bound is None:
-        bound = len(p_full.lite.obligations) + 1 + sum(
-            len(getattr(p_full, pairing.field)) for pairing in PAIRINGS)
+        bound = len(p.lite.obligations) + 1 + sum(
+            len(getattr(p, pairing.field)) for pairing in PAIRINGS)
+    return not any(
+        _reference_valid(p, world, stripped) and not _reference_valid(p_prime, world, stripped)
+        for size in range(min(bound, len(pool)) + 1)
+        for world in itertools.combinations(pool, size))
 
-    for size in range(0, min(bound, len(pool)) + 1):
-        for combo in itertools.combinations(pool, size):
-            world = World(frozenset(combo))
-            if not evaluate_full(p_full, world, schema).valid:
-                continue
-            if not evaluate_full(q_full, world, schema).valid:
-                return False
-    return True
+
+def _judged_rules(*policies) -> tuple:
+    """The rules ``_reference_valid`` reads: every rule of the policies and
+    each obligation-consequence lead with its deadlines stripped; and the
+    map from each such lead to its stripped rule."""
+    stripped = {tau: strip_deadline_conditions(tau)
+                for q in policies for tau, _ in q.obligation_consequence_pairs}
+    return tuple(set(stripped.values()).union(*(q.all_rules() for q in policies))), stripped
+
+
+def _facts(e: Event, rules, schema) -> tuple:
+    """An event's timestamp and the set of the rules it matches."""
+    return e.timestamp, frozenset(r for r in rules if match_unchecked(r, e, schema))
+
+
+def _reference_valid(p: FullPolicy, world, stripped: dict) -> bool:
+    """The seven clauses, each written as its formula over a world given as
+    one ``_facts`` pair per event, over ``_judged_rules``: no match table,
+    no earliest or latest event, no evaluator."""
+    def times(rule) -> list:   # of the world's events matching the rule
+        return [t for t, m in world if rule in m]
+
+    return (all(any(r in m for r in p.lite.permissions) for _, m in world)
+            and not any(r in m for r in p.lite.prohibitions for _, m in world)
+            and all(times(r) for r in p.lite.obligations)
+            and all(any(duty in m and u <= t for u, m in world)
+                    for tau, duty in p.duty_pairs for t in times(tau))
+            and all(any(duty in m and u <= t for u, m in world)
+                    or (any(duty in m and u >= t for u, m in world)
+                        and any(cons in m and u >= t for u, m in world))
+                    for tau, duty, cons in p.duty_consequence_triples for t in times(tau))
+            and all(any(remedy in m and u >= t for u, m in world)
+                    for tau, remedy in p.remedy_pairs for t in times(tau))
+            and all(times(tau) or (times(stripped[tau]) and all(
+                        any(cons in m and u >= d.value.raw for u, m in world)
+                        for d in deadline_conditions(tau)))
+                    for tau, cons in p.obligation_consequence_pairs))

@@ -648,13 +648,6 @@ class EventRule:
     def of(*conditions: Condition, label: str | None = None) -> "EventRule":
         return EventRule(frozenset(conditions), label=label)
 
-    def feature_set(self) -> frozenset:
-        """All feature indices used anywhere in the rule."""
-        out = set()
-        for c in self.conditions:
-            out |= features_of(c)
-        return frozenset(out)
-
     def ordered_conditions(self) -> tuple:
         return tuple(sorted(self.conditions, key=lambda c: c.render()))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from odrleval import EventRule, LitePolicy, Operator, World, rule_contains
+from odrleval import EventRule, FullPolicy, LitePolicy, Operator, World, rule_contains
 from odrleval.comparison import WitnessDomain
 from odrleval.matching import match_unchecked
 from conftest import ACTION, ACTOR, ASSET, DATETIME, PAGES, eq, num, ts
@@ -159,3 +159,32 @@ def pairwise_set_contains(rules, rules_prime, schema) -> bool:
     """Sound but incomplete shortcut for ``set_contains``: per-rule subsumption."""
     return all(any(rule_contains(t, tp, schema) for tp in rules_prime)
                for t in rules)
+
+
+def random_full_policy(rng: Random) -> FullPolicy:
+    def pinned(extra=None):
+        conds = [eq(ACTION, rng.choice(("Print", "Read", "Pay"))),
+                 eq(ACTOR, rng.choice(("Alice", "Bob")))]
+        if rng.random() < 0.6:
+            conds.append(eq(ASSET, rng.choice(("Picture", "Book"))))
+        if extra is not None:
+            conds.append(extra)
+        return EventRule(frozenset(conds))
+
+    permissions = [pinned() for _ in range(3)]
+    duty_pairs = set()
+    triples = set()
+    remedies = set()
+    oc_pairs = set()
+    if rng.random() < 0.7:
+        duty_pairs.add((rng.choice(permissions), rng.choice(permissions)))
+    if rng.random() < 0.5:
+        triples.add(tuple(rng.choice(permissions) for _ in range(3)))
+    if rng.random() < 0.7:
+        remedies.add((pinned(), rng.choice(permissions)))
+    if rng.random() < 0.7:
+        deadline = ts(Operator.LTEQ, rng.randint(1, 4))
+        obligation = pinned(extra=deadline)
+        oc_pairs.add((obligation, rng.choice(permissions)))
+    lite = LitePolicy.of(permissions)
+    return FullPolicy.of(lite, duty_pairs, triples, remedies, oc_pairs)

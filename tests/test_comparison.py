@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import sys
+from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,6 +15,7 @@ import strategies
 from generators import (
     pairwise_set_contains,
     random_consistent_policy,
+    random_full_policy,
     random_raw_policy,
     representative_worlds,
 )
@@ -18,7 +23,9 @@ from odrleval import (
     And,
     DomainTooLargeError,
     EngineError,
+    Event,
     EventRule,
+    FullPolicy,
     InconsistentPolicyError,
     LitePolicy,
     NormalizationError,
@@ -27,8 +34,10 @@ from odrleval import (
     SimpleCondition,
     Value,
     WitnessDomain,
+    World,
     asymmetric_conflict,
     brute_force_containment,
+    evaluate_full,
     is_consistent,
     is_valid,
     normalize,
@@ -38,7 +47,15 @@ from odrleval import (
     set_contains,
     symmetric_conflict,
 )
-from odrleval.comparison import CAUSE_OBLIGATIONS, CAUSE_PERMISSIONS
+from odrleval import comparison
+from odrleval.comparison import (
+    CAUSE_OBLIGATIONS,
+    CAUSE_PERMISSIONS,
+    _facts,
+    _judged_rules,
+    _reference_valid,
+)
+from odrleval.model import PAIRINGS, ordered_rules
 from conftest import (
     ACTION,
     ACTOR,
@@ -544,6 +561,92 @@ def test_brute_force_full_policies_with_deadline_consequence(schema):
     assert brute_force_containment(owed, free, schema) is True
     assert brute_force_containment(free, owed, schema) is False
     assert brute_force_containment(owed, owed, schema) is True
+
+
+def test_brute_force_orders_events_between_two_bounds(schema):
+    # Both rules hold only strictly between timestamps 1 and 5, where the
+    # plain domain has one probe (3). Printing before reading is valid for
+    # the first policy and not for the second, which also wants a read at or
+    # before each print; only the pairing probes 2 and 4 can order them.
+    read = bob_read_book(ts(Operator.GT, 1), ts(Operator.LT, 5), label="read")
+    print_ = alice_print_picture(ts(Operator.GT, 1), ts(Operator.LT, 5), label="print")
+    lite = LitePolicy.of({read, print_}, (), {read, print_})
+    one_way = FullPolicy.of(lite, duty_pairs={(read, print_)})
+    both_ways = FullPolicy.of(lite, duty_pairs={(read, print_), (print_, read)})
+    assert brute_force_containment(both_ways, one_way, schema) is True
+    assert brute_force_containment(one_way, both_ways, schema) is False
+
+
+# -- the oracle's own check of the seven clauses -------------------------------
+
+def event_for(rng: Random, rule: EventRule) -> Event:
+    """An event on the rule's pinned action, actor and asset, at a timestamp
+    from 0 to 5, with the rest drawn and often null; now and then the actor
+    is blanked, so the event matches nothing that pins it."""
+    pins = {c.feature: c.value.raw for c in rule.conditions
+            if isinstance(c, SimpleCondition) and c.op is Operator.EQ}
+    actor = None if rng.random() < 0.1 else pins.get(ACTOR, rng.choice(("Alice", None)))
+    return make_event(rng.randint(0, 5), pins.get(ACTION, "Read"), actor,
+                      pins.get(ASSET, rng.choice(("Picture", "Book", None))),
+                      pages=rng.choice((None, 100)))
+
+
+def test_reference_check_agrees_with_evaluator(schema):
+    # The oracle judges each candidate world with its own formulas over
+    # (timestamp, matched rules) pairs; on every world they must give
+    # evaluate_full's verdict. Worlds of up to six events at timestamps 0-5
+    # tie on timestamps and fall before, at and after the deadlines (1-4).
+    rng = Random(31337)
+    seen = Counter()
+    for _ in range(300):
+        policy = random_full_policy(rng)
+        judged, stripped = _judged_rules(policy)
+        rules = ordered_rules(policy.all_rules())
+        for _ in range(10):
+            world = World.of(event_for(rng, rng.choice(rules))
+                             for _ in range(rng.randint(0, 6)))
+            valid = evaluate_full(policy, world, schema).valid
+            facts = [_facts(e, judged, schema) for e in world.events]
+            assert _reference_valid(policy, facts, stripped) == valid, (
+                policy, world.ordered())
+            seen.update((pairing.field, valid) for pairing in PAIRINGS
+                        if getattr(policy, pairing.field))
+    # each pairing was judged on valid and on violating worlds
+    assert len(seen) == 2 * len(PAIRINGS), seen
+
+
+def all_pairings_policy() -> FullPolicy:
+    read, pay = bob_read_book(label="read"), alice_print_picture(label="pay")
+    return FullPolicy.of(
+        LitePolicy.of({read, pay}), duty_pairs={(read, pay)},
+        duty_consequence_triples={(pay, read, pay)},
+        remedy_pairs={(bob_read_book(num(PAGES, Operator.GT, 250)), pay)},
+        obligation_consequence_pairs={(bob_read_book(ts(Operator.LTEQ, 3)), pay)})
+
+
+def test_oracle_reaches_no_evaluator_or_match_table(schema, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the engine it checks")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "odrleval":
+            for attr in ("evaluate_full", "evaluate_lite", "MatchTable"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    shared = {alice_print_picture(label="p"), bob_read_book(label="p2")}
+    assert brute_force_containment(
+        LitePolicy.of(shared), LitePolicy.of(shared, (), {bob_read_book(label="o")}),
+        schema) is False
+    full = all_pairings_policy()
+    assert brute_force_containment(full, full.lite, schema) is True
+    assert brute_force_containment(full.lite, full, schema) is False
+
+
+def test_comparison_imports_nothing_from_evaluation():
+    tree = ast.parse(Path(comparison.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert not {m for m in imported if m and m.split(".")[-1] == "evaluation"}
 
 
 def test_containment_over_text_ordered_feature():

@@ -38,6 +38,7 @@ from conftest import (
     num,
     ts,
 )
+from generators import random_full_policy
 
 
 def run_clauses(emitted, world, schema):
@@ -400,35 +401,6 @@ def test_random_differential_extreme_values_and_nested_xor():
             [extreme_rule(rng) for _ in range(rng.randint(0, 2))],
         )
         agree_with_evaluator(policy, extreme_world(rng), schema)
-
-
-def random_full_policy(rng: Random) -> FullPolicy:
-    def pinned(extra=None):
-        conds = [eq(ACTION, rng.choice(("Print", "Read", "Pay"))),
-                 eq(ACTOR, rng.choice(("Alice", "Bob")))]
-        if rng.random() < 0.6:
-            conds.append(eq(ASSET, rng.choice(("Picture", "Book"))))
-        if extra is not None:
-            conds.append(extra)
-        return EventRule(frozenset(conds))
-
-    permissions = [pinned() for _ in range(3)]
-    duty_pairs = set()
-    triples = set()
-    remedies = set()
-    oc_pairs = set()
-    if rng.random() < 0.7:
-        duty_pairs.add((rng.choice(permissions), rng.choice(permissions)))
-    if rng.random() < 0.5:
-        triples.add(tuple(rng.choice(permissions) for _ in range(3)))
-    if rng.random() < 0.7:
-        remedies.add((pinned(), rng.choice(permissions)))
-    if rng.random() < 0.7:
-        deadline = ts(Operator.LTEQ, rng.randint(1, 4))
-        obligation = pinned(extra=deadline)
-        oc_pairs.add((obligation, rng.choice(permissions)))
-    lite = LitePolicy.of(permissions)
-    return FullPolicy.of(lite, duty_pairs, triples, remedies, oc_pairs)
 
 
 def test_full_clause_differential(schema):
