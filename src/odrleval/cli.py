@@ -209,13 +209,8 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        json.dump(exc.as_object(), sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
     except EngineError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, indent=2)
+        json.dump(exc.as_object(), sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 2
 

@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .conditions import negate
+from .conditions import class_condition, negate
 from .errors import (
     DomainTooLargeError,
     InconsistentPolicyError,
@@ -101,27 +101,25 @@ class WitnessDomain:
         set_atoms: dict = {i: set() for i in range(len(schema))}
         touched = set()
 
-        for rule in rules:
-            for sc in (c for cond in rule.conditions
-                       for c in simple_conditions_of(cond)):
-                i = sc.feature
-                decl = schema.declaration(i)
-                touched.add(i)
-                expected = schema.value_kinds[i]
-                if sc.op is Operator.IS_A:
-                    # isA reads the class set; per-event classes live on the
-                    # companion feature, so its atoms must cover them.
-                    if decl.class_feature is not None:
-                        touched.add(decl.class_feature)
-                        set_atoms[decl.class_feature].update(sc.members)
-                elif sc.op in SET_OPERATORS:
-                    if decl.datatype is Datatype.IDENTIFIER_SET:
-                        set_atoms[i].update(sc.members)
-                elif sc.op in MEMBERSHIP_OPERATORS:
-                    if expected in STRING_KINDS:
-                        scalar_constants[i].update(sc.members)
-                elif sc.value.kind is expected:
-                    scalar_constants[i].add(sc.value.raw)
+        leaves = [c for rule in rules for cond in rule.conditions
+                  for c in simple_conditions_of(cond)]
+        # an isA's class test on its class feature is one more leaf
+        leaves += filter(None, (class_condition(c, schema) for c in leaves))
+        for sc in leaves:
+            i = sc.feature
+            decl = schema.declaration(i)
+            touched.add(i)
+            expected = schema.value_kinds[i]
+            if sc.op is Operator.IS_A:
+                continue   # reads its own feature for presence only
+            if sc.op in SET_OPERATORS:
+                if decl.datatype is Datatype.IDENTIFIER_SET:
+                    set_atoms[i].update(sc.members)
+            elif sc.op in MEMBERSHIP_OPERATORS:
+                if expected in STRING_KINDS:
+                    scalar_constants[i].update(sc.members)
+            elif sc.value.kind is expected:
+                scalar_constants[i].add(sc.value.raw)
 
         for t in extra_timestamps:
             scalar_constants[TIMESTAMP_FEATURE].add(int(t))
@@ -602,15 +600,30 @@ def brute_force_containment(p: Policy, p_prime: Policy, schema: FeatureSchema,
                             max_world_size: int | None = None) -> bool:
     """Containment by bounded-world enumeration.
 
-    Enumerates every world of at most n + 1 events, n being the number of
-    obligations and pairings of ``p`` (a lite policy is the full policy with
-    no pairings), drawn from the witness-domain events ``p`` admits, and
-    reports False exactly when some such world is valid for ``p`` and
-    violating for ``p_prime``. Each world is judged by ``_reference_valid``,
-    not by the evaluators. When either side has a pairing, every timestamp
-    constant +/- 1 is a probe too, so two events can be ordered between
-    adjacent bounds. Completeness is only claimed for consistent lite
-    policies.
+    Enumerates every world of at most 1 + |O| + |DP| + 3|DPC| + |FR| + 2|OC|
+    events of ``p`` (a lite policy is the full policy with no pairings, so
+    its bound is 1 + |O|), drawn from the witness-domain events ``p``
+    admits, and reports False exactly when some such world is valid for
+    ``p`` and violating for ``p_prime``. Each world is judged by
+    ``_reference_valid``, not by the evaluators. When either side has a
+    pairing, every timestamp constant +/- 1 is a probe too, so two events
+    can be ordered between adjacent bounds.
+
+    Why the bound suffices: every clause only ever asks that some event be
+    missing, so a violation of ``p_prime`` survives in each subworld that
+    keeps the event showing it, if there is one. From a world valid for
+    ``p`` and violating ``p_prime``, keep that event; one event per
+    obligation; per duty pair the earliest duty event; per duty-consequence
+    triple the earliest and latest duty events and the latest consequence
+    event; per remedy pair the latest remedy event; per obligation-
+    consequence pair one lead event, or else one event of the lead without
+    its deadlines and the latest consequence event. Extremal events serve
+    every lead event at once, so the subworld is still valid for ``p``.
+
+    Not claimed: that the probes realise every timestamp order a world
+    needs. With more events between two adjacent timestamp constants than
+    the +/- 1 probes can order, a world may have no probe counterpart, so
+    completeness is only claimed for consistent lite policies.
     """
     p, p_prime = as_full(p), as_full(p_prime)
     rules = tuple(p.all_rules()) + tuple(p_prime.all_rules())
@@ -631,8 +644,9 @@ def brute_force_containment(p: Policy, p_prime: Policy, schema: FeatureSchema,
         and not any(match_unchecked(r, e, schema) for r in p.lite.prohibitions)))
     bound = max_world_size
     if bound is None:
-        bound = len(p.lite.obligations) + 1 + sum(
-            len(getattr(p, pairing.field)) for pairing in PAIRINGS)
+        bound = (1 + len(p.lite.obligations) + len(p.duty_pairs)
+                 + 3 * len(p.duty_consequence_triples) + len(p.remedy_pairs)
+                 + 2 * len(p.obligation_consequence_pairs))
     return not any(
         _reference_valid(p, world, stripped) and not _reference_valid(p_prime, world, stripped)
         for size in range(min(bound, len(pool)) + 1)

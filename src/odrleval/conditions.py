@@ -10,7 +10,10 @@ complement.
 ``operator.eq/ne/gt/ge/lt/le`` on the raw values, false unless both kinds
 agree and an order operator meets an ordered kind (timestamps, numbers
 across int/float, text by codepoint); a set operator is ``ge/le/eq`` on
-member sets.
+member sets. An ``isA`` on a feature with a class feature is "value
+present" and the ``hasPart`` test ``class_condition`` gives on the class
+feature; every route (per event, match table, SQL, witness domain) reads
+that class test through ``class_condition``.
 """
 
 from __future__ import annotations
@@ -42,16 +45,19 @@ _SET = {Operator.HAS_PART: operator.ge, Operator.IS_PART_OF: operator.le,
         Operator.IS_ALL_OF: operator.eq}
 
 
-def class_feature(c: SimpleCondition, s: FeatureSchema) -> int | None:
-    """The companion feature holding the class set an ``isA`` condition
-    reads, or None when the condition reads its own feature only."""
-    return s.declaration(c.feature).class_feature if c.op is Operator.IS_A else None
+def class_condition(c: SimpleCondition, s: FeatureSchema) -> SimpleCondition | None:
+    """The class test of an ``isA`` on a feature with a class feature:
+    ``<class feature, hasPart, members>``. None for any other condition,
+    which reads its own feature only."""
+    cf = s.declaration(c.feature).class_feature if c.op is Operator.IS_A else None
+    return None if cf is None else SimpleCondition(
+        cf, Operator.HAS_PART, Value.identifier_set(c.members))
 
 
 def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
     """The part of ``eval_simple`` that reads the condition's own feature,
     with value ``v``. For an ``isA`` with a class feature this only asks
-    that the value is present; ``eval_classes`` tests the class set."""
+    that the value is present; ``class_condition`` is its class test."""
     if v.is_null:
         return False
 
@@ -81,21 +87,14 @@ def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
     return decl.classes is not None and decl.classes >= c.members
 
 
-def eval_classes(c: SimpleCondition, v: Value) -> bool:
-    """The class-feature part of an ``isA``: ``v`` is an identifier set
-    holding every class the condition names."""
-    return v.kind is ValueKind.IDENTIFIER_SET and v.raw >= c.members
-
-
 def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
     """Evaluate one comparison triple on one event.
 
     False whenever the feature value is null, the kinds are incomparable, or
     class information for ``isA`` is unavailable.
     """
-    cf = class_feature(c, s)
-    return eval_value(c, e.value(c.feature), s) and (
-        cf is None or eval_classes(c, e.value(cf)))
+    cc = class_condition(c, s)
+    return eval_value(c, e.value(c.feature), s) and (cc is None or eval_simple(cc, e, s))
 
 
 def eval_complex(c: Condition, e: Event, s: FeatureSchema) -> bool:
@@ -134,7 +133,7 @@ def desugar_xor(c: Condition) -> Condition:
         parts = tuple(desugar_xor(p) for p in c.parts)
         if all(p is q for p, q in zip(parts, c.parts)):
             return c
-        return And(parts) if isinstance(c, And) else Or(parts)
+        return type(c)(parts)
     raise AssertionError(f"unknown condition node {c!r}")
 
 
@@ -182,5 +181,5 @@ def simplify(c: Condition) -> Condition:
             return Constant(not absorbing)
         if len(parts) == 1:
             return parts[0]
-        return And(tuple(parts)) if isinstance(c, And) else Or(tuple(parts))
+        return type(c)(tuple(parts))
     raise AssertionError(f"unknown condition node {c!r}")

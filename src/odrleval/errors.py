@@ -11,6 +11,10 @@ from __future__ import annotations
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
+    def as_object(self) -> dict:
+        """Machine-readable rendering used by the CLI's error stream."""
+        return {"error": type(self).__name__, "message": str(self)}
+
 
 class SchemaError(EngineError):
     """A feature schema violates one of its structural invariants.
@@ -96,7 +100,6 @@ class DocumentError(EngineError):
         self.location = location
 
     def as_object(self) -> dict:
-        """Machine-readable rendering used by the CLI's error stream."""
         obj = {"error": self.kind, "message": str(self)}
         if self.location is not None:
             obj["location"] = self.location

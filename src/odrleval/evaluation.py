@@ -98,10 +98,9 @@ def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
 def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the lite clauses plus duties, remedies and consequences."""
-    conform_world(w, s)
+    events = conform_world(w, s)
     require_well_formed(p.all_rules(), s)
-    table = MatchTable(w.ordered(), s)
-    events = table.events
+    table = MatchTable(events, s)
     findings = []
 
     # Permissions: an event no permission matches is a violation; with an

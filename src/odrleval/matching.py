@@ -18,13 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 
-from .conditions import (
-    class_feature,
-    eval_classes,
-    eval_complex,
-    eval_value,
-    simplify,
-)
+from .conditions import class_condition, eval_complex, eval_value, simplify
 from .errors import IllFormedRuleError
 from .model import (
     ACTION_FEATURE,
@@ -176,10 +170,8 @@ def _blank_deadlines(c: Condition, positive: bool | None) -> Condition:
         return Constant(True) if positive is True else c
     if isinstance(c, (SimpleCondition, Constant)):
         return c
-    if isinstance(c, And):
-        return And(tuple(_blank_deadlines(p, positive) for p in c.parts))
-    if isinstance(c, Or):
-        return Or(tuple(_blank_deadlines(p, positive) for p in c.parts))
+    if isinstance(c, (And, Or)):
+        return type(c)(tuple(_blank_deadlines(p, positive) for p in c.parts))
     if isinstance(c, Not):
         flipped = None if positive is None else not positive
         return Not(_blank_deadlines(c.part, flipped))
@@ -297,8 +289,8 @@ class MatchTable:
         """``eval_simple`` over a column: ``=`` and ``isAnyOf`` by lookup,
         the order operators by one bisection over the values of the
         constant's kind, any other operator by one value test per column
-        value. An ``isA`` with a class feature is ANDed with one class-set
-        test per value of that feature."""
+        value. An ``isA`` with a class feature is ANDed with the match set
+        of its ``class_condition``."""
         i, op, constant = c.feature, c.op, c.value
         if op is Operator.EQ:
             m = self._flagged(i, self._positions(i, constant))
@@ -315,10 +307,8 @@ class MatchTable:
                 m = 0   # an order test on an unordered kind is false
         else:
             m = self._mask(i, lambda v: eval_value(c, v, self.schema))
-        cf = class_feature(c, self.schema)
-        if cf is not None:
-            m &= self._mask(cf, lambda v: eval_classes(c, v))
-        return m
+        cc = class_condition(c, self.schema)
+        return m if cc is None else m & self.condition(cc)
 
     def condition(self, c: Condition) -> int:
         m = self._masks.get(c)

@@ -446,16 +446,13 @@ class World:
                             if tied[e.timestamp] > 1 else (e.timestamp,)))
 
 
-def conform_world(world: World, schema: FeatureSchema) -> None:
-    """Raise WorldConformanceError naming the first misfit in ``World.ordered`` order."""
-    try:
-        for e in world.events:
-            conform_event(e, schema)
-        return
-    except WorldConformanceError:
-        pass
-    for e in world.ordered():
+def conform_world(world: World, schema: FeatureSchema) -> tuple:
+    """``world.ordered()``, once every event in it fits ``schema``; else
+    WorldConformanceError naming the first misfit in that order."""
+    events = world.ordered()
+    for e in events:
         conform_event(e, schema)
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +532,10 @@ class SimpleCondition(Condition):
 
 
 @dataclass(frozen=True)
-class And(Condition):
+class _Junction(Condition):
+    """The body And and Or share: their operands, rendered with the
+    class's ``joiner``."""
+
     parts: tuple
 
     def __post_init__(self):
@@ -543,19 +543,15 @@ class And(Condition):
         _require_conditions(self.parts)
 
     def render(self, schema=None) -> str:
-        return "(" + " & ".join(p.render(schema) for p in self.parts) + ")"
+        return "(" + self.joiner.join(p.render(schema) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Or(Condition):
-    parts: tuple
+class And(_Junction):
+    joiner = " & "
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        _require_conditions(self.parts)
 
-    def render(self, schema=None) -> str:
-        return "(" + " | ".join(p.render(schema) for p in self.parts) + ")"
+class Or(_Junction):
+    joiner = " | "
 
 
 @dataclass(frozen=True)

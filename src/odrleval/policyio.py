@@ -410,6 +410,15 @@ def _set_operand(raw, op: Operator, member, where: str) -> Value:
     return Value.identifier(member(raw, where))
 
 
+def _leaf(decl: FeatureDecl, op: Operator, value: Value, where: str) -> SimpleCondition:
+    """The comparison ``<decl, op, value>``; a constant the operator cannot
+    take is an ``unsupported-operator`` error at the condition's place."""
+    try:
+        return SimpleCondition(decl.index, op, value)
+    except ModelInvariantError as exc:
+        raise DocumentError("unsupported-operator", str(exc), where) from None
+
+
 def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
     if not isinstance(obj, dict):
         raise DocumentError("bad-format", "condition must be an object", where)
@@ -421,10 +430,7 @@ def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
             value = parse_value(obj.get("value"), decl.datatype, where)
         else:
             value = _set_operand(obj.get("value"), op, _name, where)
-        try:
-            return SimpleCondition(decl.index, op, value)
-        except ModelInvariantError as exc:
-            raise DocumentError("unsupported-operator", str(exc), where) from None
+        return _leaf(decl, op, value, where)
     if "and" in obj:
         _require_keys(obj, ("and",), where)
         return And(tuple(parse_condition(p, schema, where)
@@ -684,10 +690,7 @@ def _odrl_constraint(obj, schema, gamma, where: str) -> Condition:
             f"to this placement (component mismatch)", where)
     op = _operator(obj.get("operator"), where)
     value = _odrl_right_operand(obj.get("rightOperand"), decl, op, where)
-    try:
-        return SimpleCondition(decl.index, op, value)
-    except ModelInvariantError as exc:
-        raise DocumentError("unsupported-operator", str(exc), where) from None
+    return _leaf(decl, op, value, where)
 
 
 def _single_core_feature(schema, tag: ComponentTag, party_role, where: str):
@@ -717,8 +720,7 @@ def _odrl_component(raw, schema, tag, party_role, where: str):
     else:
         ident = _odrl_id(raw, where)
     decl = _single_core_feature(schema, tag, party_role, where)
-    conditions.append(
-        SimpleCondition(decl.index, Operator.EQ, Value.identifier(ident)))
+    conditions.append(_leaf(decl, Operator.EQ, Value.identifier(ident), where))
     for i, ref in enumerate(refinements):
         conditions.append(_odrl_constraint(
             ref, schema, decl.index, f"{where}.refinement[{i}]"))

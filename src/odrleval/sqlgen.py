@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .conditions import class_condition
 from .errors import QueryEmitError
 from .evaluation import Clause
 from .matching import require_well_formed, strip_deadline_conditions
@@ -187,7 +188,7 @@ class _Compiler:
         present = f"{col} IS NOT NULL"
 
         if c.op is Operator.IS_A:
-            return self._is_a(c, col, present, alias)
+            return self._is_a(c, present, alias)
 
         if c.op in SET_OPERATORS:
             if kind is not ValueKind.IDENTIFIER_SET:
@@ -218,20 +219,13 @@ class _Compiler:
             return _FALSE
         return f"({present} AND {col} {_SCALAR_SQL_OP[c.op]} {_literal(c.value)})"
 
-    def _is_a(self, c: SimpleCondition, col: str, present: str, alias: str) -> str:
-        decl = self.schema.declaration(c.feature)
-        members = c.members
-        if decl.class_feature is not None:
-            companion = self.schema.declaration(decl.class_feature)
-            ccol = f"{alias}.{_q(self.cols[companion.index])}"
-            feature_lit = _quote(self.cols[companion.index])
-            terms = [present, f"{ccol} IS NOT NULL"]
-            terms += [self._member_exists(alias, feature_lit, m)
-                      for m in sorted(members)]
-            return "(" + " AND ".join(terms) + ")"
-        if decl.classes is not None:
-            verdict = _TRUE if decl.classes >= members else _FALSE
-            return f"({present} AND {verdict})"
+    def _is_a(self, c: SimpleCondition, present: str, alias: str) -> str:
+        cc = class_condition(c, self.schema)
+        if cc is not None:
+            return f"({present} AND {self.simple(cc, alias)})"
+        classes = self.schema.declaration(c.feature).classes
+        if classes is not None:
+            return f"({present} AND {_TRUE if classes >= c.members else _FALSE})"
         return _FALSE
 
     @staticmethod
@@ -373,7 +367,7 @@ def world_insert_sql(world: World, schema: FeatureSchema) -> list:
     event order, then ``world_set_members`` rows in event, feature and member
     order, at most 500 rows and 200,000 characters per statement. Each
     distinct value of a feature is encoded once."""
-    conform_world(world, schema)
+    events = conform_world(world, schema)
     cols = _columns(schema)
     names = ", ".join(["event_id"] + [_q(cols[d.index]) for d in schema.features])
     features = [_quote(cols[d.index]) for d in schema.features]
@@ -381,7 +375,7 @@ def world_insert_sql(world: World, schema: FeatureSchema) -> list:
     codes = [{} for _ in features]
     rows = []
     members = []
-    for event_id, event in enumerate(world.ordered()):
+    for event_id, event in enumerate(events):
         cells = [str(event_id)]
         for code, feature, v in zip(codes, features, event.values):
             key = v.raw

@@ -567,3 +567,12 @@ def test_canonical_or_xor_const_through_the_cli(capsys, tmp_path):
     assert code == 0
     assert "(1=1)" in (out_dir / "permissions-violation.sql").read_text()
     assert "(1=0)" in (out_dir / "prohibitions-violation.sql").read_text()
+
+
+def test_missing_input_file_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "check", "--policy", missing,
+                         "--schema", str(DEMO / "schema.json"))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "io-error", "message": f"{missing}: no such file",
+                               "location": missing}

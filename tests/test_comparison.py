@@ -478,6 +478,23 @@ def test_set_atom_cap_raises():
         rule_contains(big, big, s)
 
 
+def test_witness_domain_covers_an_is_a_class_test():
+    # isA on Role reads its class set from Tags, so the domain must hold a
+    # Tags probe with the class in it; without one the rule is unsatisfiable.
+    from odrleval import ComponentTag, Datatype, FeatureDecl, FeatureSchema
+    from conftest import make_schema
+    schema = FeatureSchema(make_schema().features + (
+        FeatureDecl(6, "Role", Datatype.IDENTIFIER, ComponentTag.RULE, class_feature=7),
+        FeatureDecl(7, "Tags", Datatype.IDENTIFIER_SET, ComponentTag.RULE)))
+    staff = EventRule.of(
+        eq(ACTION, "Read"), SimpleCondition(6, Operator.IS_A, Value.identifier("Staff")))
+    tagged = EventRule.of(
+        eq(ACTION, "Read"), SimpleCondition(7, Operator.HAS_PART, Value.identifier("Staff")))
+    assert rule_satisfiable(staff, schema)
+    assert rule_contains(staff, tagged, schema)
+    assert not rule_contains(tagged, staff, schema)
+
+
 def test_witness_domain_probe_structure(schema):
     from odrleval import WitnessDomain, NULL
     narrow = bob_read_book(num(PAGES, Operator.GT, 250))
@@ -575,6 +592,43 @@ def test_brute_force_orders_events_between_two_bounds(schema):
     both_ways = FullPolicy.of(lite, duty_pairs={(read, print_), (print_, read)})
     assert brute_force_containment(both_ways, one_way, schema) is True
     assert brute_force_containment(one_way, both_ways, schema) is False
+
+
+def action(name: str, *extra, label=None) -> EventRule:
+    return EventRule.of(eq(ACTION, name), *extra, label=label)
+
+
+def test_default_bound_reaches_a_late_duty_and_consequence(schema):
+    # No Pay can come before an early Print, so a valid world holding one
+    # also holds a later Pay and a later Read: three events, one more than
+    # obligations + pairings + 1.
+    lead = action("Print", ts(Operator.LTEQ, 5), label="print")
+    duty = action("Pay", ts(Operator.GTEQ, 10), label="pay")
+    consequence = action("Read", label="read")
+    p = FullPolicy.of(LitePolicy.of({lead, duty, consequence}),
+                      duty_consequence_triples={(lead, duty, consequence)})
+    q = LitePolicy.of({duty, consequence})
+    witness = World.of((make_event(5, "Print", None, None),
+                        make_event(10, "Pay", None, None),
+                        make_event(10, "Read", None, None)))
+    assert is_valid(p, witness, schema) and not is_valid(q, witness, schema)
+    assert brute_force_containment(p, q, schema) is False
+
+
+def test_default_bound_reaches_a_late_fulfilment_and_consequence(schema):
+    # The lead can never be met, so a valid world needs a late Pay and a
+    # Read; a Print is then a third event.
+    lead = action("Pay", ts(Operator.LTEQ, 5), label="pay-by-5")
+    consequence = action("Read", label="read")
+    late_pay = action("Pay", ts(Operator.GTEQ, 10), label="pay")
+    p = FullPolicy.of(LitePolicy.of({action("Print", label="print"), consequence, late_pay}),
+                      obligation_consequence_pairs={(lead, consequence)})
+    q = LitePolicy.of({consequence, late_pay})
+    witness = World.of((make_event(1, "Print", None, None),
+                        make_event(10, "Pay", None, None),
+                        make_event(10, "Read", None, None)))
+    assert is_valid(p, witness, schema) and not is_valid(q, witness, schema)
+    assert brute_force_containment(p, q, schema) is False
 
 
 # -- the oracle's own check of the seven clauses -------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from odrleval import (
     ActionVocabulary,
+    And,
     ComponentTag,
     Datatype,
     Event,
@@ -17,6 +18,7 @@ from odrleval import (
     ModelInvariantError,
     NULL,
     Operator,
+    Or,
     PolicyInvariantError,
     RULE_WIDE,
     SchemaError,
@@ -166,6 +168,14 @@ def test_world_checks_conformance(schema):
     from odrleval import WorldConformanceError
     with pytest.raises(WorldConformanceError):
         World.of((bad,), schema)
+
+
+def test_conform_world_returns_the_order_it_checked(schema):
+    from odrleval.model import conform_world
+    world = World.of(make_event(t, action, "Alice", "Book")
+                     for t in (3, 1, 2, 1) for action in ("Read", "Print"))
+    assert conform_world(world, schema) == world.ordered()
+    assert [e.timestamp for e in world.ordered()] == [1, 1, 2, 2, 3, 3]
 
 
 def test_conformance_names_first_offender_in_canonical_order():
@@ -376,3 +386,75 @@ def test_schema_matches_demo_layout():
     s = make_schema()
     assert [d.name for d in s.features] == [
         "Datetime", "Action", "Actor", "Asset", "Print.Resolution", "Book.Pages"]
+
+
+# -- typed refusals of malformed model objects ---------------------------------
+
+DATETIME_DECL = FeatureDecl(0, "Datetime", Datatype.TIMESTAMP, ComponentTag.RULE)
+ACTION_DECL = FeatureDecl(1, "Action", Datatype.IDENTIFIER, ComponentTag.ACTION)
+
+
+@pytest.mark.parametrize("fields, text", [
+    ({"component": ComponentTag.REFINES}, "refinement without a target"),
+    ({"refines": 1}, "refines is only valid on refinements"),
+    ({"party_role": "assignee"}, "party_role on a non-party feature"),
+    ({"component": ComponentTag.PARTY, "classes": frozenset({"a"}), "class_feature": 3},
+     "both static classes and a class feature"),
+], ids=["refinement-without-target", "refines-on-core", "role-on-asset",
+        "classes-and-class-feature"])
+def test_feature_decl_invariants(fields, text):
+    with pytest.raises(ModelInvariantError, match=text):
+        FeatureDecl(**{"index": 2, "name": "Asset", "datatype": Datatype.IDENTIFIER,
+                       "component": ComponentTag.ASSET, **fields})
+
+
+def test_declaration_of_unknown_index(schema):
+    with pytest.raises(SchemaError) as err:
+        schema.declaration(len(schema))
+    assert err.value.kind == "bad-gamma-target"
+
+
+@pytest.mark.parametrize("features, kind", [
+    ((), "wrong-datetime-slot"),
+    (("Datetime",), "bad-gamma-target"),
+    ((DATETIME_DECL,), "wrong-action-slot"),
+    ((DATETIME_DECL, ACTION_DECL,
+      FeatureDecl(2, "Act", Datatype.IDENTIFIER, ComponentTag.ACTION)), "wrong-action-slot"),
+], ids=["no-features", "not-a-declaration", "no-action", "second-action"])
+def test_schema_shape_refused(features, kind):
+    with pytest.raises(SchemaError) as err:
+        FeatureSchema(features)
+    assert err.value.kind == kind
+
+
+@pytest.mark.parametrize("values", [
+    (Value.timestamp(1),),
+    (Value.timestamp(1), "Read"),
+], ids=["one-slot", "non-value-slot"])
+def test_event_shape_refused(values):
+    with pytest.raises(ModelInvariantError):
+        Event(values)
+
+
+def test_condition_constant_must_be_a_value():
+    with pytest.raises(ModelInvariantError, match="must be Value instances"):
+        SimpleCondition(ACTOR, Operator.EQ, "Alice")
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: And(()), "at least one operand"),
+    (lambda: Or((eq(ACTOR, "Alice"), "Bob")), "is not a condition"),
+    (lambda: EventRule(frozenset({"Alice"})), "is not a condition"),
+    (lambda: LitePolicy.of(permissions=(eq(ACTOR, "Alice"),)),
+     "permissions must contain event rules"),
+], ids=["empty-combinator", "non-condition-operand", "rule-of-non-conditions",
+        "policy-of-non-rules"])
+def test_non_conditions_and_non_rules_refused(build, text):
+    with pytest.raises(ModelInvariantError, match=text):
+        build()
+
+
+def test_pairing_tuple_of_wrong_arity_refused():
+    permission = EventRule.of(eq(1, "Read"), label="read")
+    with pytest.raises(PolicyInvariantError, match="every entry is a"):
+        FullPolicy.of(LitePolicy.of({permission}), duty_pairs={(permission,)})

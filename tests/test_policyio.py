@@ -532,8 +532,10 @@ def _canonical_bound(op, value):
      _canonical_bound("lteq", 5)),
     (_bound("odrl:gteq", 2), _canonical_bound("gteq", 2)),
     (_bound("http://www.w3.org/ns/odrl/2/eq", 3), _canonical_bound("eq", 3)),
+    (_bound("lteq", {"@id": 5}), _canonical_bound("lteq", 5)),
+    (_bound("isAnyOf", ["a", {"@id": "b"}]), _canonical_bound("isAnyOf", ["a", "b"])),
 ], ids=["or", "xone", "xone-list", "and-list", "value-and-id-nodes",
-        "odrl-prefix", "iri-prefix"])
+        "odrl-prefix", "iri-prefix", "id-right-operand", "set-operator"])
 def test_odrl_constraint_matches_canonical(schema, constraint, condition):
     canonical = {"format": "policy/1", "kind": "lite", "permissions": [
         {"label": "p", "conditions": [
@@ -768,3 +770,67 @@ def test_odrl_rdf_value_action_form(schema):
     assert eq(1, "Print") in rule.conditions
     assert any(getattr(c, "feature", None) == RESOLUTION
                for c in rule.conditions)
+
+
+# -- typed refusals and accepted inputs at the document edges --------------------
+
+_HEADER = "Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+
+
+def test_world_text_without_header_refused(schema):
+    with pytest.raises(DocumentError) as err:
+        parse_world_text("", schema)
+    assert err.value.kind == "header-mismatch"
+
+
+@pytest.mark.parametrize("blank", ["\n", "   \n"], ids=["empty", "spaces"])
+def test_world_blank_rows_skipped(schema, e2, blank):
+    text = _HEADER + blank + "2,Read,Bob,Book,null,450\n" + blank
+    assert parse_world_text(text, schema).events == frozenset({e2})
+
+
+def _canonical_doc(**extra) -> dict:
+    return {"format": "policy/1", "permissions": [{"label": "p", "conditions": [
+        {"feature": "Action", "op": "eq", "value": "Print"}]}], **extra}
+
+
+def test_lite_canonical_document_with_pairing_key_refused(schema):
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(
+            _canonical_doc(dutyPairs=[{"permission": "p", "duty": "p"}]), schema)
+    assert (err.value.kind, err.value.location) == ("bad-format", "dutyPairs")
+
+
+def test_canonical_pairing_label_naming_no_permission_refused(schema):
+    doc = _canonical_doc(kind="full", dutyPairs=[{"permission": "p", "duty": "q"}])
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert (err.value.kind, err.value.location) == ("dangling-duty", "dutyPairs[0]")
+
+
+@pytest.mark.parametrize("rule, kind", [
+    ({"assignee": "Alice", "action": "Print", "assigner": "Bob"}, "unknown-left-operand"),
+    ({"assignee": "Alice", "target": "Picture"}, "ill-formed-rule"),
+    ({"assignee": "Alice", "action": ["Print", "Read"]}, "unsupported-operator"),
+], ids=["party-without-feature", "no-action", "two-actions"])
+def test_odrl_rule_refused(schema, rule, kind):
+    doc = {"@context": "http://www.w3.org/ns/odrl.jsonld", "permission": [rule]}
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert err.value.kind == kind
+
+
+def test_policy_document_must_be_an_object(schema):
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document([], schema)
+    assert err.value.kind == "bad-format"
+
+
+def test_canonical_round_trip_of_a_set_constant(schema):
+    from odrleval import EventRule, SimpleCondition
+    members = SimpleCondition(ACTOR, Operator.IS_ANY_OF, Value.identifier_set({"Zoe", "Bob"}))
+    policy = LitePolicy.of({EventRule.of(eq(ACTION, "Read"), members, label="p")})
+    doc = policy_to_document(policy, schema)
+    assert {"feature": "Actor", "op": "isAnyOf", "value": ["Bob", "Zoe"]} in (
+        doc["permissions"][0]["conditions"])
+    assert parse_policy_document(doc, schema, enforce_well_formed=False) == policy
