@@ -14,9 +14,10 @@ gives the plain verdict.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .matching import (
     MatchTable,
@@ -52,6 +53,7 @@ class Clause(Enum):
 
 
 _CLAUSE_ORDER = {c: i for i, c in enumerate(Clause)}
+_timestamp = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -121,54 +123,49 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
                 Clause.OBLIGATIONS, rules=(tau.display_label(s),),
                 missing=f"no event matches obligation {tau.display_label(s)}"))
 
-    # Events are in timestamp order, so the lowest and highest bits of a
-    # match set carry its earliest and latest timestamps.
-    def first(rule: EventRule):
+    # Events are in timestamp order: those before a rule's earliest timestamp
+    # form a prefix, and those after its latest timestamp a suffix.
+    def earlier(rule: EventRule) -> int:
         m = table.rule(rule)
-        return events[lowest_bit(m)].timestamp if m else math.inf
+        k = bisect_left(events, events[lowest_bit(m)].timestamp,
+                        key=_timestamp) if m else len(events)
+        return (1 << k) - 1
 
-    def last(rule: EventRule):
+    def later(rule: EventRule) -> int:
         m = table.rule(rule)
-        return events[m.bit_length() - 1].timestamp if m else -math.inf
-
-    def matched(rule: EventRule):
-        return [events[j] for j in bit_positions(table.rule(rule))]
+        k = bisect_right(events, events[m.bit_length() - 1].timestamp,
+                         key=_timestamp) if m else 0
+        return table.all >> k << k
 
     # Permission duties: a permitted event with no duty event at or before it.
     for labels, (tau_r, duty_r) in _labelled(p.duty_pairs, s):
-        earliest = first(duty_r)
-        for e in matched(tau_r):
-            if earliest > e.timestamp:
-                findings.append(Finding(
-                    Clause.PERMISSION_DUTIES, rules=labels, witnesses=(e,),
-                    missing=f"no event matching duty {labels[1]} at or before "
-                            f"timestamp {e.timestamp}"))
+        for j in bit_positions(table.rule(tau_r) & earlier(duty_r)):
+            e = events[j]
+            findings.append(Finding(
+                Clause.PERMISSION_DUTIES, rules=labels, witnesses=(e,),
+                missing=f"no event matching duty {labels[1]} at or before "
+                        f"timestamp {e.timestamp}"))
 
     # Permission duties with consequences: no prior duty, and additionally no
     # subsequent duty or no subsequent consequence.
     for labels, (tau_r, duty_r, consequence_r) in _labelled(p.duty_consequence_triples, s):
-        earliest, latest, latest_consequence = (
-            first(duty_r), last(duty_r), last(consequence_r))
-        for e in matched(tau_r):
-            if earliest <= e.timestamp:
-                continue
-            later_duty = latest >= e.timestamp
-            if not later_duty or latest_consequence < e.timestamp:
-                which = "duty" if not later_duty else "consequence"
-                findings.append(Finding(
-                    Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES,
-                    rules=labels, witnesses=(e,),
-                    missing=f"no prior duty event and no subsequent {which} event"))
+        no_later_duty = later(duty_r)
+        for j in bit_positions(table.rule(tau_r) & earlier(duty_r)
+                               & (no_later_duty | later(consequence_r))):
+            which = "duty" if no_later_duty >> j & 1 else "consequence"
+            findings.append(Finding(
+                Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES,
+                rules=labels, witnesses=(events[j],),
+                missing=f"no prior duty event and no subsequent {which} event"))
 
     # Prohibition remedies: a matched prohibition with no remedy at or after it.
     for labels, (tau_r, remedy_r) in _labelled(p.remedy_pairs, s):
-        latest = last(remedy_r)
-        for e in matched(tau_r):
-            if latest < e.timestamp:
-                findings.append(Finding(
-                    Clause.PROHIBITION_REMEDIES, rules=labels, witnesses=(e,),
-                    missing=f"no event matching remedy {labels[1]} at or after "
-                            f"timestamp {e.timestamp}"))
+        for j in bit_positions(table.rule(tau_r) & later(remedy_r)):
+            e = events[j]
+            findings.append(Finding(
+                Clause.PROHIBITION_REMEDIES, rules=labels, witnesses=(e,),
+                missing=f"no event matching remedy {labels[1]} at or after "
+                        f"timestamp {e.timestamp}"))
 
     # Obligation consequences: the deadline obligation was never met, and no
     # late fulfilment plus consequence at or after the deadline exists.
@@ -178,7 +175,8 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
         late = table.rule(strip_deadline_conditions(tau_r))
         for deadline in deadline_conditions(tau_r):
             t = deadline.value.raw
-            if not late or last(consequence_r) < t:
+            if not late or not table.rule(consequence_r) >> bisect_left(
+                    events, t, key=_timestamp):
                 findings.append(Finding(
                     Clause.OBLIGATION_CONSEQUENCES, rules=labels,
                     missing=f"obligation unfulfilled by timestamp {t} and no late "

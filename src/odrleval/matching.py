@@ -239,7 +239,6 @@ class MatchTable:
         self.schema = schema
         self.all = (1 << len(self.events)) - 1
         self._columns: dict = {}   # feature index -> (values, expand)
-        self._lookups: dict = {}   # feature index -> {value: positions}
         self._sorted: dict = {}    # (feature index, kind) -> (raws, positions)
         self._masks: dict = {}     # condition -> match set
 
@@ -248,11 +247,6 @@ class MatchTable:
         if col is None:
             col = self._columns[i] = self.events.column(i)
         return col
-
-    def _mask(self, i: int, test) -> int:
-        """The events whose feature ``i`` value passes ``test``."""
-        values, expand = self._column(i)
-        return expand([test(v) for v in values])
 
     def _flagged(self, i: int, positions) -> int:
         """The events whose feature ``i`` value sits at one of ``positions``
@@ -265,13 +259,11 @@ class MatchTable:
 
     def _positions(self, i: int, v: Value) -> list:
         """The column positions of feature ``i`` holding a value equal to
-        ``v``; equal values may be written differently, as 1 and 1.0."""
-        lookup = self._lookups.get(i)
-        if lookup is None:
-            lookup = self._lookups[i] = {}
-            for p, w in enumerate(self._column(i)[0]):
-                lookup.setdefault(w, []).append(p)
-        return lookup.get(v, [])
+        ``v``, a slice of the sorted run of ``v``'s kind: equal values written
+        differently (1 and 1.0) sit side by side. ``v`` is never a set, so
+        identifier sets, which have no total order, are never sorted."""
+        raws, order = self._ordered(i, v.kind)
+        return order[bisect_left(raws, v.raw):bisect_right(raws, v.raw)]
 
     def _ordered(self, i: int, kind: ValueKind) -> tuple:
         """Feature ``i``'s column values of ``kind`` in ascending order, as
@@ -286,11 +278,10 @@ class MatchTable:
         return ordered
 
     def _simple(self, c: SimpleCondition) -> int:
-        """``eval_simple`` over a column: ``=`` and ``isAnyOf`` by lookup,
-        the order operators by one bisection over the values of the
-        constant's kind, any other operator by one value test per column
-        value. An ``isA`` with a class feature is ANDed with the match set
-        of its ``class_condition``."""
+        """``eval_simple`` over a column: ``=``, ``isAnyOf`` and the order
+        operators by bisection in the sorted run of the constant's kind, any
+        other operator by one value test per column value. An ``isA`` with a
+        class feature is ANDed with the match set of its ``class_condition``."""
         i, op, constant = c.feature, c.op, c.value
         if op is Operator.EQ:
             m = self._flagged(i, self._positions(i, constant))
@@ -306,7 +297,8 @@ class MatchTable:
             else:
                 m = 0   # an order test on an unordered kind is false
         else:
-            m = self._mask(i, lambda v: eval_value(c, v, self.schema))
+            m = self._flagged(i, [p for p, v in enumerate(self._column(i)[0])
+                                  if eval_value(c, v, self.schema)])
         cc = class_condition(c, self.schema)
         return m if cc is None else m & self.condition(cc)
 
