@@ -51,22 +51,35 @@ def _read_json(path: str):
         raise DocumentError("bad-format", f"not valid JSON: {exc}", path)
 
 
+def _parse(read, path: str, parse, *args, **kwargs):
+    """``parse`` of the file at ``path`` as ``read`` gives it. An engine
+    error other than a DocumentError, which places itself within the
+    document, is located at ``path`` as written on the command line."""
+    try:
+        return parse(read(path), *args, **kwargs)
+    except DocumentError:
+        raise
+    except EngineError as exc:
+        exc.location = path
+        raise
+
+
 def _emit(doc) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
 
 
 def _load_common(args):
-    schema = parse_schema_document(_read_json(args.schema))
-    policy = parse_policy_document(_read_json(args.policy), schema)
+    schema = _parse(_read_json, args.schema, parse_schema_document)
+    policy = _parse(_read_json, args.policy, parse_policy_document, schema)
     return schema, policy
 
 
 def _cmd_evaluate(args) -> int:
     schema, policy = _load_common(args)
-    world = parse_world_text(_read_text(args.world), schema)
+    world = _parse(_read_text, args.world, parse_world_text, schema)
     if args.vocab:
-        vocabulary = parse_vocabulary_document(_read_json(args.vocab))
+        vocabulary = _parse(_read_json, args.vocab, parse_vocabulary_document)
         policy = saturate(policy, vocabulary, schema)
     report = evaluate_full(as_full(policy), world, schema)
     _emit(report_to_document(report, schema))
@@ -74,9 +87,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    schema = parse_schema_document(_read_json(args.schema))
-    requester = parse_policy_document(_read_json(args.requester), schema)
-    provider = parse_policy_document(_read_json(args.provider), schema)
+    schema = _parse(_read_json, args.schema, parse_schema_document)
+    requester = _parse(_read_json, args.requester, parse_policy_document, schema)
+    provider = _parse(_read_json, args.provider, parse_policy_document, schema)
     for name, p in (("requester", requester), ("provider", provider)):
         if isinstance(p, FullPolicy):
             raise DocumentError(
@@ -100,7 +113,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_saturate(args) -> int:
     schema, policy = _load_common(args)
-    vocabulary = parse_vocabulary_document(_read_json(args.vocab))
+    vocabulary = _parse(_read_json, args.vocab, parse_vocabulary_document)
     _emit(policy_to_document(saturate(policy, vocabulary, schema), schema))
     return 0
 
@@ -125,9 +138,9 @@ def _cmd_emit_query(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    schema = parse_schema_document(_read_json(args.schema))
-    policy = parse_policy_document(_read_json(args.policy), schema,
-                                   enforce_well_formed=False)
+    schema = _parse(_read_json, args.schema, parse_schema_document)
+    policy = _parse(_read_json, args.policy, parse_policy_document, schema,
+                    enforce_well_formed=False)
     rules = policy.all_rules()
     reports = []
     ok = True

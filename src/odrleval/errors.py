@@ -9,11 +9,25 @@ from __future__ import annotations
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``location`` is the error's place in one input, or None. When it is
+    set, the message reads ``"<location>: <text>"``; this is the only place
+    that prefix is written.
+    """
+
+    location: str | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.location is None else f"{self.location}: {text}"
 
     def as_object(self) -> dict:
         """Machine-readable rendering used by the CLI's error stream."""
-        return {"error": type(self).__name__, "message": str(self)}
+        obj = {"error": type(self).__name__, "message": str(self)}
+        if self.location is not None:
+            obj["location"] = self.location
+        return obj
 
 
 class SchemaError(EngineError):
@@ -89,18 +103,14 @@ class DocumentError(EngineError):
 
     ``kind`` carries the stable error tag (``unknown-left-operand``,
     ``unsupported-operator``, ``header-mismatch``, ...); ``location`` is a
-    human-readable pointer into the document (row/column, JSON path). The
-    message is ``message`` itself, or ``"<location>: <message>"`` when a
-    location is given, so callers pass the bare text and never its place.
+    human-readable pointer into the document (row/column, JSON path).
+    Callers pass the bare text and never its place.
     """
 
     def __init__(self, kind: str, message: str, location: str | None = None):
-        super().__init__(message if location is None else f"{location}: {message}")
+        super().__init__(message)
         self.kind = kind
         self.location = location
 
     def as_object(self) -> dict:
-        obj = {"error": self.kind, "message": str(self)}
-        if self.location is not None:
-            obj["location"] = self.location
-        return obj
+        return {**super().as_object(), "error": self.kind}

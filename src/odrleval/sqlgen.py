@@ -256,16 +256,20 @@ def _disjoin(parts) -> str:
 def emit_violation_queries(policy: Policy, schema: FeatureSchema) -> EmittedQuery:
     """The violation clauses as standalone SELECT statements: the three lite
     clauses, and for a ``FullPolicy`` also the duty / remedy / consequence
-    clauses, compiled as self-joins on the event table with timestamp
-    predicates."""
+    clauses, which compare each row's timestamp with the earliest or latest
+    timestamp of the partner rule."""
     p = as_full(policy)
     require_well_formed(p.all_rules(), schema)
     comp = _Compiler(schema)
     ts = _q(comp.cols[TIMESTAMP_FEATURE])
 
-    def exists(alias: str, rule: EventRule, time_test: str) -> str:
-        return (f"EXISTS (SELECT 1 FROM {MAIN_TABLE} {alias} WHERE "
-                f"{comp.rule(rule, alias)} AND {time_test})")
+    def beyond(alias: str, rule: EventRule, aggregate: str, test: str) -> str:
+        """No event of ``rule`` at or before (MIN, >) or at or after (MAX, <)
+        row w: the uncorrelated aggregate is computed once, and is null when
+        the rule matches nothing."""
+        bound = (f"(SELECT {aggregate}({alias}.{ts}) FROM {MAIN_TABLE} {alias} "
+                 f"WHERE {comp.rule(rule, alias)})")
+        return f"({bound} IS NULL OR {bound} {test} w.{ts})"
 
     def rows(terms) -> str:
         return f"SELECT w.* FROM {MAIN_TABLE} w\nWHERE {_disjoin(terms)};"
@@ -286,18 +290,15 @@ def emit_violation_queries(policy: Policy, schema: FeatureSchema) -> EmittedQuer
     }
     if isinstance(policy, FullPolicy):
         queries[Clause.PERMISSION_DUTIES] = rows(
-            f"({comp.rule(tau, 'w')} AND NOT "
-            f"{exists('w2', duty, f'w2.{ts} <= w.{ts}')})"
+            f"({comp.rule(tau, 'w')} AND {beyond('w2', duty, 'MIN', '>')})"
             for tau, duty in ordered_tuples(p.duty_pairs))
         queries[Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES] = rows(
-            f"({comp.rule(tau, 'w')}"
-            f" AND NOT {exists('w2', duty, f'w2.{ts} <= w.{ts}')}"
-            f" AND ((NOT {exists('w3', duty, f'w3.{ts} >= w.{ts}')})"
-            f" OR (NOT {exists('w4', consequence, f'w4.{ts} >= w.{ts}')})))"
+            f"({comp.rule(tau, 'w')} AND {beyond('w2', duty, 'MIN', '>')}"
+            f" AND ({beyond('w3', duty, 'MAX', '<')}"
+            f" OR {beyond('w4', consequence, 'MAX', '<')}))"
             for tau, duty, consequence in ordered_tuples(p.duty_consequence_triples))
         queries[Clause.PROHIBITION_REMEDIES] = rows(
-            f"({comp.rule(tau, 'w')} AND NOT "
-            f"{exists('w2', remedy, f'w2.{ts} >= w.{ts}')})"
+            f"({comp.rule(tau, 'w')} AND {beyond('w2', remedy, 'MAX', '<')})"
             for tau, remedy in ordered_tuples(p.remedy_pairs))
         queries[Clause.OBLIGATION_CONSEQUENCES] = flag(
             f"((NOT EXISTS (SELECT 1 FROM {MAIN_TABLE} w WHERE "

@@ -317,8 +317,9 @@ def test_schema_index_of_wrong_type_exits_2(capsys, tmp_path, command, index):
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "SchemaError",
-        "message": "feature indices must be unique and contiguous; "
-                   f"found index {index} at position 1"}
+        "message": f"{schema}: feature indices must be unique and contiguous; "
+                   f"found index {index} at position 1",
+        "location": str(schema)}
 
 
 def test_duplicate_feature_name_exits_2(capsys, tmp_path):
@@ -336,7 +337,50 @@ def test_duplicate_feature_name_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "error": "SchemaError",
-        "message": "feature names must be unique; feature 7 repeats the name 'X'"}
+        "message": f"{schema}: feature names must be unique; "
+                   "feature 7 repeats the name 'X'",
+        "location": str(schema)}
+
+
+def _index_as_float(docs):
+    docs["schema"]["features"][1]["index"] = 1.0
+
+
+def _party_role_on_asset(docs):
+    docs["schema"]["features"][3]["partyRole"] = "assignee"
+
+
+def _vocabulary_cycle(docs):
+    docs["vocab"]["includedIn"].append(["Use", "Display"])
+
+
+@pytest.mark.parametrize("spoil, bad, error, text", [
+    (_index_as_float, "schema", "SchemaError",
+     "feature indices must be unique and contiguous; found index 1.0 at position 1"),
+    (_party_role_on_asset, "schema", "ModelInvariantError",
+     "feature 3 (Asset): party_role on a non-party feature"),
+    (_vocabulary_cycle, "vocab", "VocabularyError",
+     "cyclic-vocabulary: action 'Display' is included in itself via "
+     "Display -> Play -> Use -> Display"),
+])
+def test_engine_errors_from_a_parse_name_the_input_file(capsys, tmp_path, spoil,
+                                                        bad, error, text):
+    # These errors have no place inside the document, so the CLI locates
+    # them at the file, as its path was written on the command line; a
+    # DocumentError places itself and is left as it is.
+    docs = {name: json.loads((DEMO / source).read_text()) for name, source in
+            (("schema", "schema.json"), ("vocab", "vocabulary.json"),
+             ("policy", "requester.json"))}
+    spoil(docs)
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    code, out, err = run(capsys, "evaluate", "--policy", str(paths["policy"]),
+                         "--world", str(DEMO / "world.csv"),
+                         "--schema", str(paths["schema"]), "--vocab", str(paths["vocab"]))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error, "message": f"{paths[bad]}: {text}",
+                               "location": str(paths[bad])}
 
 
 @pytest.mark.parametrize("policy, path, value", [

@@ -15,11 +15,13 @@ from odrleval import (
     LitePolicy,
     Operator,
     World,
+    emit_violation_queries,
     evaluate_full,
     evaluate_lite,
     is_valid,
 )
 from conftest import ACTION, ACTOR, ASSET, eq, make_event, ts
+from test_sqlgen import clause_events, run_clauses
 
 
 def test_example_policy_violates_demo_world(schema, example_policy, world, e2, e3):
@@ -79,6 +81,20 @@ def test_prohibition_witnesses_are_world_members(schema, world):
 
 
 # -- full policies -----------------------------------------------------------
+
+def evaluated_both_ways(policy, world, schema):
+    """``evaluate_full``'s report, once the emitted SQL has found the same
+    pairing witnesses and the same obligation-consequence verdict."""
+    report = evaluate_full(policy, world, schema)
+    results = run_clauses(emit_violation_queries(policy, schema), world, schema)
+    for clause in (Clause.PERMISSION_DUTIES, Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES,
+                   Clause.PROHIBITION_REMEDIES):
+        assert (clause_events(results[f"{clause.value}-violation"], world)
+                == {f.witnesses[0] for f in report.by_clause(clause)}), clause
+    assert (bool(results["obligation-consequences-violation"])
+            == bool(report.by_clause(Clause.OBLIGATION_CONSEQUENCES)))
+    return report
+
 
 def duty_policy():
     perm = EventRule.of(eq(ACTION, "Print"), eq(ACTOR, "Alice"),
@@ -146,6 +162,15 @@ def test_dpc_late_duty_with_consequence_clears(schema):
     assert evaluate_full(dpc_policy(), world, schema).valid
 
 
+def test_dpc_late_duty_and_simultaneous_consequence_clear(schema):
+    world = World.of((
+        make_event(2, "Print", "Alice", "Book"),
+        make_event(2, "Pay", "Alice", None),
+        make_event(3, "Read", "Bob", "Book"),
+    ))
+    assert evaluated_both_ways(dpc_policy(), world, schema).valid
+
+
 def test_dpc_late_duty_without_consequence_fires(schema):
     world = World.of((
         make_event(1, "Print", "Alice", "Book"),
@@ -180,6 +205,14 @@ def test_remedy_after_breach_clears(schema):
         make_event(2, "Pay", "Bob", None),
     ))
     assert evaluate_full(remedy_policy(), world, schema).valid
+
+
+def test_remedy_at_the_breach_timestamp_clears(schema):
+    world = World.of((
+        make_event(1, "Print", "Bob", None),
+        make_event(1, "Pay", "Bob", None),
+    ))
+    assert evaluated_both_ways(remedy_policy(), world, schema).valid
 
 
 def test_missing_remedy_fires(schema):
@@ -217,6 +250,21 @@ def test_oc_late_fulfilment_with_consequence_clears(schema):
     report = evaluate_full(oc_policy(), world, schema)
     assert report.by_clause(Clause.OBLIGATION_CONSEQUENCES) == ()
     assert report.valid
+
+
+def test_oc_consequence_at_the_deadline_clears_and_one_tick_earlier_does_not(schema):
+    # oc_policy's deadline is timestamp 2
+    at_deadline = World.of((
+        make_event(2, "Pay", "Bob", None),
+        make_event(5, "Read", "Bob", "Book"),
+    ))
+    assert evaluated_both_ways(oc_policy(), at_deadline, schema).valid
+    before = World.of((
+        make_event(1, "Pay", "Bob", None),
+        make_event(5, "Read", "Bob", "Book"),
+    ))
+    report = evaluated_both_ways(oc_policy(), before, schema)
+    assert [f.clause for f in report.findings] == [Clause.OBLIGATION_CONSEQUENCES]
 
 
 def test_oc_without_consequence_fires(schema):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sqlite3
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -432,6 +434,43 @@ def test_full_clause_differential(schema):
         sql_flag = bool(results["obligation-consequences-violation"])
         mem_flag = bool(report.by_clause(Clause.OBLIGATION_CONSEQUENCES))
         assert sql_flag == mem_flag, (policy, world.ordered())
+
+
+def test_pairing_queries_take_linear_steps_in_the_log(schema):
+    # A correlated NOT EXISTS per row made these three queries quadratic:
+    # 4x the log took about 15x the sqlite VM steps. Steps, unlike time,
+    # are the same on every run of one sqlite build.
+    golden = Path(__file__).resolve().parent / "golden" / "full-policy.json"
+    policy = parse_policy_document(json.loads(golden.read_text(encoding="utf-8")), schema)
+    pairing = ("permission-duties-violation",
+               "permission-duties-with-consequences-violation",
+               "prohibition-remedies-violation")
+    queries = [(name, sql) for name, sql in emit_violation_queries(policy, schema).queries
+               if name in pairing]
+    rotation = (("Reproduce", "Alice", "Picture"), ("Use", "Bob", "Book"),
+                ("Print", "Alice", "Picture", 2000))
+
+    def steps(n: int) -> dict:
+        # every permitted event lacks a prior duty, and every Print breach
+        # scans the log for the one remedy at its end
+        world = World.of([make_event(t, *rotation[t % 3]) for t in range(n)]
+                         + [make_event(n, "Pay", "Alice", "Picture")])
+        con = sqlite3.connect(":memory:")
+        con.executescript(create_table_sql(schema))
+        for stmt in world_insert_sql(world, schema):
+            con.execute(stmt)
+        counts = {}
+        for name, sql in queries:
+            ticks = []
+            con.set_progress_handler(lambda: ticks.append(1), 100)
+            con.execute(sql).fetchall()
+            counts[name] = len(ticks)
+        con.close()
+        return counts
+
+    small, large = steps(300), steps(1200)
+    for name in pairing:
+        assert large[name] < 6 * small[name], (name, small[name], large[name])
 
 
 def bob_reads_pages(op, pages) -> EventRule:
