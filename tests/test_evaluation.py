@@ -189,6 +189,17 @@ def test_dpc_consequence_without_late_duty_fires(schema):
     assert report.by_clause(Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES)
 
 
+def test_dpc_finding_names_what_is_missing_after_the_event(schema):
+    def missing(*events):
+        report = evaluate_full(dpc_policy(), World.of(events), schema)
+        return [f.missing for f in report.by_clause(Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES)]
+    permitted = make_event(1, "Print", "Alice", "Book")
+    assert missing(permitted, make_event(2, "Read", "Bob", "Book")) == [
+        "no prior duty event and no subsequent consequence event"]
+    assert missing(permitted, make_event(3, "Pay", "Alice", None)) == [
+        "no prior duty event and no subsequent duty event"]
+
+
 def remedy_policy():
     prohibition = EventRule.of(eq(ACTION, "Print"), eq(ACTOR, "Bob"),
                                label="bob-no-print")
