@@ -172,8 +172,15 @@ class WitnessDomain:
     def events(self, max_events: int = DEFAULT_MAX_EVENTS):
         """Deterministic iterator over the full probe product."""
         self.require_within(max_events)
-        for combo in itertools.product(*self.probes):
-            yield Event(combo)
+        if all(self.probes):
+            # Event's checks read one slot at a time, so each probe is checked
+            # once, in the first event with that slot swapped; the product's
+            # events are then built unchecked.
+            first = Event(tuple(p[0] for p in self.probes)).values
+            for i, p in enumerate(self.probes):
+                for v in p[1:]:
+                    Event(first[:i] + (v,) + first[i + 1:])
+        yield from map(Event._trusted, itertools.product(*self.probes))
 
     def __getitem__(self, j: int) -> Event:
         """The ``j``-th event of ``events()``: ``j`` read in mixed radix,

@@ -48,10 +48,18 @@ _SET = {Operator.HAS_PART: operator.ge, Operator.IS_PART_OF: operator.le,
 def class_condition(c: SimpleCondition, s: FeatureSchema) -> SimpleCondition | None:
     """The class test of an ``isA`` on a feature with a class feature:
     ``<class feature, hasPart, members>``. None for any other condition,
-    which reads its own feature only."""
-    cf = s.declaration(c.feature).class_feature if c.op is Operator.IS_A else None
-    return None if cf is None else SimpleCondition(
-        cf, Operator.HAS_PART, Value.identifier_set(c.members))
+    which reads its own feature only. Built once per condition and schema:
+    the result is kept in ``s.class_conditions``."""
+    if c.op is not Operator.IS_A:
+        return None
+    memo = s.class_conditions
+    try:
+        return memo[c]
+    except KeyError:
+        cf = s.declaration(c.feature).class_feature
+        cc = memo[c] = None if cf is None else SimpleCondition(
+            cf, Operator.HAS_PART, Value.identifier_set(c.members))
+        return cc
 
 
 def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 from .matching import (
     MatchTable,
@@ -53,7 +52,6 @@ class Clause(Enum):
 
 
 _CLAUSE_ORDER = {c: i for i, c in enumerate(Clause)}
-_timestamp = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,9 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the lite clauses plus duties, remedies and consequences."""
     events = conform_world(w, s)
     require_well_formed(p.all_rules(), s)
-    table = MatchTable(events, s)
+    columns = w._encoded   # the encoded view of ``events``
+    stamps = columns.timestamps
+    table = MatchTable(columns, s)
     findings = []
 
     # Permissions: an event no permission matches is a violation; with an
@@ -127,14 +127,12 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     # form a prefix, and those after its latest timestamp a suffix.
     def earlier(rule: EventRule) -> int:
         m = table.rule(rule)
-        k = bisect_left(events, events[lowest_bit(m)].timestamp,
-                        key=_timestamp) if m else len(events)
+        k = bisect_left(stamps, stamps[lowest_bit(m)]) if m else len(events)
         return (1 << k) - 1
 
     def later(rule: EventRule) -> int:
         m = table.rule(rule)
-        k = bisect_right(events, events[m.bit_length() - 1].timestamp,
-                         key=_timestamp) if m else 0
+        k = bisect_right(stamps, stamps[m.bit_length() - 1]) if m else 0
         return table.all >> k << k
 
     # Permission duties: a permitted event with no duty event at or before it.
@@ -175,8 +173,7 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
         late = table.rule(strip_deadline_conditions(tau_r))
         for deadline in deadline_conditions(tau_r):
             t = deadline.value.raw
-            if not late or not table.rule(consequence_r) >> bisect_left(
-                    events, t, key=_timestamp):
+            if not late or not table.rule(consequence_r) >> bisect_left(stamps, t):
                 findings.append(Finding(
                     Clause.OBLIGATION_CONSEQUENCES, rules=labels,
                     missing=f"obligation unfulfilled by timestamp {t} and no late "

@@ -8,7 +8,7 @@ and (3) no boolean combination mixes features of different components.
 ``match_unchecked`` is the reference semantics; ``MatchTable`` gives every
 rule's match set over a whole event sequence as an ``int`` bitset. It reads
 the sequence one feature at a time, through ``column(i)``: feature ``i``'s
-values and a function from one flag per value to a bitset.
+values and a function from one flag per value to a bitset (``expander``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .model import (
     Condition,
     Constant,
     Event,
+    EventColumns,
     EventRule,
     FeatureSchema,
     Not,
@@ -36,6 +37,7 @@ from .model import (
     RULE_WIDE,
     STRING_KINDS,
     SimpleCondition,
+    TIMESTAMP_FEATURE,
     Value,
     ValueKind,
     Xor,
@@ -207,35 +209,21 @@ _BISECT = {Operator.GT: (bisect_right, True), Operator.GTEQ: (bisect_left, True)
            Operator.LT: (bisect_left, False), Operator.LTEQ: (bisect_right, False)}
 
 
-class EventList(tuple):
-    """Events in a fixed order, with the column view ``MatchTable`` reads."""
-
-    def column(self, i: int):
-        """The distinct values of feature ``i`` in first-seen order, and a
-        function from one flag per value to the bitset of the events
-        holding it."""
-        index = {}
-        codes = [index.setdefault(e.values[i], len(index)) for e in self]
-        codes.reverse()   # the last event is the highest bit
-
-        def expand(flags) -> int:
-            bits = "".join(map("01".__getitem__, flags))
-            return int("".join(map(bits.__getitem__, codes)) or "0", 2)
-        return tuple(index), expand
-
-
 class MatchTable:
     """Match sets over one event sequence: bit ``j`` stands for ``events[j]``.
     Each distinct condition is compiled once, on first use.
 
-    The sequence is a list of events, or any sequence with its own
-    ``column`` view, such as a witness domain that computes its bitsets
-    from its product structure without listing its events. ``column(i)``
-    gives feature ``i``'s values and a function from one flag per value to
-    the bitset of the events whose feature ``i`` holds a flagged value."""
+    The sequence is any sequence with a ``column`` view: a world's
+    ``EventColumns``, or a witness domain that computes its bitsets from its
+    product structure without listing its events. A plain list of events is
+    encoded into ``EventColumns`` first. ``column(i)`` gives feature ``i``'s
+    values and a function from one flag per value to the bitset of the
+    events whose feature ``i`` holds a flagged value. When the sequence
+    lists ``timestamps`` in order, a timestamp comparison is a range of
+    bits, found by bisection."""
 
     def __init__(self, events, schema: FeatureSchema):
-        self.events = events if hasattr(events, "column") else EventList(events)
+        self.events = events if hasattr(events, "column") else EventColumns(tuple(events))
         self.schema = schema
         self.all = (1 << len(self.events)) - 1
         self._columns: dict = {}   # feature index -> (values, expand)
@@ -289,7 +277,14 @@ class MatchTable:
             m = self._flagged(i, [p for member in constant.raw for kind in STRING_KINDS
                                   for p in self._positions(i, Value(kind, member))])
         elif op in ORDER_OPERATORS:
-            if constant.kind in ORDERED_KINDS:
+            stamps = getattr(self.events, "timestamps", None)
+            if (i == TIMESTAMP_FEATURE and stamps is not None
+                    and constant.kind is ValueKind.TIMESTAMP):
+                # events in timestamp order: a prefix or a suffix
+                find, above = _BISECT[op]
+                k = find(stamps, constant.raw)
+                m = self.all >> k << k if above else (1 << k) - 1
+            elif constant.kind in ORDERED_KINDS:
                 raws, order = self._ordered(i, constant.kind)
                 find, above = _BISECT[op]
                 k = find(raws, constant.raw)

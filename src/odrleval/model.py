@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import functools
 import graphlib
+import operator
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Union
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     ModelInvariantError,
@@ -71,6 +73,7 @@ KIND_FOR_DATATYPE = {
 
 
 _NULL_HASH = 0x6E756C6C
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ class Value:
     Timestamps are totally ordered integer ticks; identifiers are opaque
     atoms compared by exact string equality.
     """
+
+    __slots__ = ("kind", "raw", "_hash")
 
     kind: ValueKind
     raw: Union[int, float, str, frozenset, None]
@@ -108,6 +113,16 @@ class Value:
     def __reduce__(self):
         # the cached hash of a string payload is only valid in this process
         return Value, (self.kind, self.raw)
+
+    @staticmethod
+    def _trusted(kind: ValueKind, raw) -> "Value":
+        """A value whose payload the caller has already checked against
+        ``kind``, built without a second check."""
+        v = _new(Value)
+        _set_kind(v, kind)
+        _set_raw(v, raw)
+        _set_value_hash(v, _NULL_HASH if raw is None else hash(raw))
+        return v
 
     # -- constructors -------------------------------------------------------
 
@@ -159,6 +174,10 @@ class Value:
             return repr(self.raw)
         return str(self.raw)
 
+
+# Slot setters for the trusted constructors, past the frozen ``__setattr__``.
+_set_kind, _set_raw, _set_value_hash = (
+    Value.kind.__set__, Value.raw.__set__, Value._hash.__set__)
 
 NULL = Value(ValueKind.NULL, None)
 
@@ -290,10 +309,21 @@ class FeatureSchema:
         return tuple(KIND_FOR_DATATYPE[decl.datatype] for decl in self.features)
 
     @functools.cached_property
+    def slot_kinds(self) -> tuple:
+        """The value kinds each event slot may hold: its own, or null."""
+        return tuple(frozenset({kind, ValueKind.NULL}) for kind in self.value_kinds)
+
+    @functools.cached_property
     def well_formed_verdicts(self) -> dict:
         """Memo of ``matching.is_well_formed``: rule -> whether it is
         well-formed under this schema. A rule's label takes no part in its
         equality or in the verdict, so only the verdict is kept."""
+        return {}
+
+    @functools.cached_property
+    def class_conditions(self) -> dict:
+        """Memo of ``conditions.class_condition``: ``isA`` condition -> its
+        class test under this schema, or None."""
         return {}
 
 
@@ -371,6 +401,8 @@ feature_component = FeatureSchema.gamma
 class Event:
     """One observed action: a tuple of feature values, timestamp first."""
 
+    __slots__ = ("values", "_hash")
+
     values: tuple
 
     def __post_init__(self):
@@ -378,12 +410,30 @@ class Event:
         vs = self.values
         if len(vs) < 2:
             raise ModelInvariantError("an event needs at least timestamp and action slots")
-        if any(not isinstance(v, Value) for v in vs):
+        if not all(map(isinstance, vs, repeat(Value))):
             raise ModelInvariantError("event slots must hold Value instances")
         if vs[TIMESTAMP_FEATURE].kind is not ValueKind.TIMESTAMP:
             raise ModelInvariantError("event slot 0 must be a non-null timestamp")
         if vs[ACTION_FEATURE].kind is not ValueKind.IDENTIFIER:
             raise ModelInvariantError("event slot 1 must be a non-null action identifier")
+        object.__setattr__(self, "_hash", hash(tuple(map(_value_hash, vs))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Event, (self.values,)
+
+    @staticmethod
+    def _trusted(values: tuple, h: int | None = None) -> "Event":
+        """An event whose slots the caller built from schema-typed values,
+        built without a second check. ``h``, when given, is
+        ``hash(tuple(v._hash for v in values))``, computed by the caller
+        from columns of value hashes."""
+        e = _new(Event)
+        _set_values(e, values)
+        _set_event_hash(e, hash(tuple(map(_value_hash, values))) if h is None else h)
+        return e
 
     @property
     def timestamp(self) -> int:
@@ -403,12 +453,20 @@ class Event:
         return "(" + ", ".join(v.render() for v in self.values) + ")"
 
 
+_set_values, _set_event_hash = Event.values.__set__, Event._hash.__set__
+# An event's hash is the hash of its slots' cached hashes.
+_value_hash = operator.attrgetter("_hash")
+_kind_of = operator.attrgetter("kind")
+
+
 def conform_event(event: Event, schema: FeatureSchema) -> None:
     """Raise WorldConformanceError unless ``event`` fits ``schema``."""
     kinds = schema.value_kinds
     if len(event.values) != len(kinds):
         raise WorldConformanceError(
             f"event arity {len(event.values)} does not match schema arity {len(kinds)}")
+    if all(map(frozenset.__contains__, schema.slot_kinds, map(_kind_of, event.values))):
+        return
     for decl, v, kind in zip(schema.features, event.values, kinds):
         if v.kind is not kind and v.kind is not ValueKind.NULL:
             raise WorldConformanceError(
@@ -418,7 +476,12 @@ def conform_event(event: Event, schema: FeatureSchema) -> None:
 
 @dataclass(frozen=True)
 class World:
-    """A finite set of events; duplicates by value collapse."""
+    """A finite set of events; duplicates by value collapse.
+
+    A world keeps a private encoded view of its events, ``EventColumns`` in
+    ``ordered()`` order. The view is derived state: it takes no part in
+    equality, hashing, repr or pickling, and a world built from events
+    computes it on first use."""
 
     events: frozenset
 
@@ -432,6 +495,22 @@ class World:
             conform_world(world, schema)
         return world
 
+    @staticmethod
+    def _encoded_as(events: frozenset, view: "EventColumns") -> "World":
+        """The world of ``events`` with ``view`` as its encoded view, which
+        the caller built from the same events."""
+        world = World(events)
+        world.__dict__["_encoded"] = view
+        return world
+
+    @functools.cached_property
+    def _encoded(self) -> "EventColumns":
+        events = tuple(self.events)
+        return EventColumns.ordered(events, list(map(_timestamp_raw, events)))
+
+    def __reduce__(self):
+        return World, (self.events,)
+
     def __contains__(self, event: Event) -> bool:
         return event in self.events
 
@@ -439,11 +518,100 @@ class World:
         return len(self.events)
 
     def ordered(self) -> tuple:
-        """Events in ``Event.sort_key`` order. Slot 0 is always a timestamp,
-        so full keys are only built for events that share one."""
-        tied = Counter(e.timestamp for e in self.events)
-        return tuple(sorted(self.events, key=lambda e: (e.timestamp, e.sort_key())
-                            if tied[e.timestamp] > 1 else (e.timestamp,)))
+        """Events in ``Event.sort_key`` order."""
+        return self._encoded.events
+
+
+def _timestamp_raw(e: Event) -> int:
+    return e.values[TIMESTAMP_FEATURE].raw
+
+
+class EventColumns:
+    """Events in a fixed order, dictionary-encoded one feature at a time.
+
+    ``codes(i)`` gives feature ``i``'s distinct values and, per event, the
+    position of its value among them. Equal values written differently (1
+    and 1.0) may share a position: they decide every condition alike, and
+    each event keeps its own value. ``column(i)`` is the view ``MatchTable``
+    reads: the values, and a function from one flag per value to the bitset
+    of the events holding a flagged one, bit ``j`` for ``events[j]``.
+    ``timestamps`` lists the events' timestamps when the events are in
+    timestamp order, else it is None."""
+
+    __slots__ = ("events", "timestamps", "_codes")
+
+    def __init__(self, events: tuple, timestamps: list | None = None,
+                 codes: dict | None = None):
+        self.events = events
+        self.timestamps = timestamps
+        self._codes = {} if codes is None else codes
+
+    @staticmethod
+    def ordered(events, stamps: list, codes: dict | None = None) -> "EventColumns":
+        """``events`` (distinct, each with its timestamp in ``stamps``) in
+        ``Event.sort_key`` order. ``codes`` maps a feature to its column in
+        the order given, ``(values, codes)``; any other feature is encoded
+        on first use."""
+        n = len(stamps)
+        ascending = sorted(stamps)
+        if len(set(stamps)) == n:
+            if stamps == ascending:   # a log written in time order
+                return EventColumns(tuple(events), stamps, codes)
+            order = sorted(range(n), key=stamps.__getitem__)
+        else:
+            # slot 0 is the timestamp: full keys only for events sharing one
+            tied = Counter(stamps)
+            order = sorted(range(n), key=lambda j: (stamps[j], events[j].sort_key())
+                           if tied[stamps[j]] > 1 else (stamps[j],))
+        if codes is not None:
+            codes = {i: (values, list(map(column.__getitem__, order)))
+                     for i, (values, column) in codes.items()}
+        return EventColumns(tuple(map(events.__getitem__, order)), ascending, codes)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, j: int) -> Event:
+        return self.events[j]
+
+    def codes(self, i: int) -> tuple:
+        col = self._codes.get(i)
+        if col is None:
+            index: dict = {}
+            codes = [index.setdefault(e.values[i], len(index)) for e in self.events]
+            col = self._codes[i] = (tuple(index), codes)
+        return col
+
+    def column(self, i: int) -> tuple:
+        values, codes = self.codes(i)
+        return values, expander(codes)
+
+
+# flag 0 or 1 -> the ASCII digit "0" or "1"
+_BINARY_DIGITS = b"01" + bytes(254)
+
+
+def expander(codes) -> Callable:
+    """A function from one flag per code (a ``bytearray`` of 0s and 1s) to
+    the bitset with bit ``j`` set when ``codes[j]`` is flagged.
+
+    The codes are laid out once, highest bit first. Up to 256 distinct codes
+    fit one ``bytes``, which ``bytes.translate`` maps to binary digits in one
+    pass; wider columns pick the flags with an ``itemgetter``."""
+    if not codes:
+        return lambda flags: 0
+    if max(codes) < 256:
+        layout = bytes(reversed(codes))
+
+        def expand(flags) -> int:
+            digits = flags[:256].translate(_BINARY_DIGITS).ljust(256, b"0")
+            return int(layout.translate(digits), 2)
+        return expand
+    pick = operator.itemgetter(*reversed(codes))
+
+    def expand(flags) -> int:
+        return int(bytes(pick(flags)).translate(_BINARY_DIGITS), 2)
+    return expand
 
 
 def conform_world(world: World, schema: FeatureSchema) -> tuple:
@@ -639,6 +807,15 @@ class EventRule:
                 raise ModelInvariantError(f"{c!r} is not a condition")
         if self.label is not None and not isinstance(self.label, str):
             raise ModelInvariantError(f"rule label {self.label!r} is not a string")
+        # hashed once, as Value is; the label takes no part
+        object.__setattr__(self, "_hash", hash(self.conditions))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the cached hash is only valid in this process
+        return EventRule, (self.conditions, self.label)
 
     @staticmethod
     def of(*conditions: Condition, label: str | None = None) -> "EventRule":

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 
 from .errors import DocumentError, IllFormedRuleError, ModelInvariantError
 from .evaluation import Finding, ViolationReport
@@ -33,6 +35,7 @@ from .model import (
     Constant,
     Datatype,
     Event,
+    EventColumns,
     EventRule,
     FeatureDecl,
     FeatureSchema,
@@ -49,7 +52,9 @@ from .model import (
     RULE_WIDE,
     SCALAR_OPERATORS,
     SimpleCondition,
+    TIMESTAMP_FEATURE,
     Value,
+    ValueKind,
     World,
     Xor,
     ordered_rules,
@@ -228,9 +233,11 @@ def _timestamp_ticks(raw, where: str) -> int:
 
 
 def parse_value(raw, datatype: Datatype, where: str) -> Value:
-    """JSON payload (or DSV cell already split) to a typed value."""
+    """JSON payload (or DSV cell already split) to a typed value. Each
+    branch checks the payload as ``Value`` would, so the value is built
+    without a second check."""
     if datatype is Datatype.TIMESTAMP:
-        return Value.timestamp(_timestamp_ticks(raw, where))
+        return Value._trusted(ValueKind.TIMESTAMP, _timestamp_ticks(raw, where))
     if datatype is Datatype.NUMERIC:
         if isinstance(raw, bool):
             raise DocumentError("unparsable-value", "boolean number", where)
@@ -245,17 +252,17 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
                     raise DocumentError(
                         "unparsable-value", f"{raw!r} is not numeric", where) from exc
         if isinstance(number, (int, float)) and abs(number) <= sys.float_info.max:
-            return Value.number(number)
+            return Value._trusted(ValueKind.NUMBER, number)
     if datatype is Datatype.STRING and isinstance(raw, str):
-        return Value.text(raw)
+        return Value._trusted(ValueKind.TEXT, raw)
     if datatype is Datatype.IDENTIFIER and isinstance(raw, str):
-        return Value.identifier(raw)
+        return Value._trusted(ValueKind.IDENTIFIER, raw)
     if datatype is Datatype.IDENTIFIER_SET:
         if isinstance(raw, list) and all(isinstance(m, str) for m in raw):
-            return Value.identifier_set(raw)
+            return Value._trusted(ValueKind.IDENTIFIER_SET, frozenset(raw))
         if isinstance(raw, str):
-            members = [m for m in raw.split("|") if m != ""]
-            return Value.identifier_set(members)
+            members = frozenset(m for m in raw.split("|") if m != "")
+            return Value._trusted(ValueKind.IDENTIFIER_SET, members)
     raise DocumentError(
         "unparsable-value", f"{raw!r} does not fit datatype {datatype.value}", where)
 
@@ -272,25 +279,52 @@ def value_to_json(v: Value):
 # World documents (delimiter-separated text)
 # ---------------------------------------------------------------------------
 
-def _records(reader):
-    """``(row index, row)`` for each record left in ``reader``. A record the
-    csv module cannot read, such as one with a field over its size limit,
-    raises DocumentError naming its row."""
-    row_index = 0
-    try:
-        for row in reader:
-            yield row_index, row
-            row_index += 1
-    except csv.Error as exc:
-        raise DocumentError("bad-format", str(exc), f"row {row_index}") from exc
-
-
 def _parse_cell(cell: str, decl: FeatureDecl, row_index: int) -> Value:
     where = f"row {row_index}, column {decl.name}"
     if cell == "null":
         # only the timestamp and action columns get here: every event has both
         raise DocumentError("unparsable-value", f"{decl.name} may not be null", where)
     return parse_value(cell, decl.datatype, where)
+
+
+# Datatypes whose cells are mostly integers, and the kind of value they give.
+_INTEGER_KINDS = {Datatype.TIMESTAMP: ValueKind.TIMESTAMP, Datatype.NUMERIC: ValueKind.NUMBER}
+
+
+def _encode_column(cells: tuple, decl: FeatureDecl) -> tuple:
+    """One column's distinct stripped texts, each parsed once, and one code
+    per cell: ``(values, codes)``, where ``values[codes[j]]`` is row ``j``'s
+    value, or None when its cell does not parse."""
+    distinct = dict.fromkeys(cells)
+    texts = list(map(str.strip, distinct))
+    todo = dict.fromkeys(texts)
+    parsed: dict = {}   # stripped text -> value, or None
+    if "null" in todo:
+        del todo["null"]
+        parsed["null"] = None if decl.index in NON_NULL_FEATURES else NULL
+    kind = _INTEGER_KINDS.get(decl.datatype)
+    if kind is not None:
+        # a column of integer texts in one pass, as parse_value reads each
+        try:
+            ints = list(map(int, todo))
+        except ValueError:
+            pass
+        else:
+            if kind is ValueKind.TIMESTAMP or max(map(abs, ints), default=0) \
+                    <= sys.float_info.max:
+                parsed.update(zip(todo, map(Value._trusted, repeat(kind), ints)))
+                todo = ()
+    for text in todo:
+        try:
+            parsed[text] = parse_value(text, decl.datatype, "")
+        except DocumentError:
+            parsed[text] = None
+    code = dict(zip(parsed, range(len(parsed))))
+    cell_code = dict(zip(distinct, map(code.__getitem__, texts)))
+    return tuple(parsed.values()), list(map(cell_code.__getitem__, cells))
+
+
+_hash_of = operator.attrgetter("_hash")
 
 
 def parse_world_text(text: str, schema: FeatureSchema) -> World:
@@ -303,38 +337,84 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
         raise DocumentError("bad-format", str(exc), "header row") from exc
     header = [h.strip() for h in header]
     expected = [d.name for d in schema.features]
-    if sorted(header) != sorted(expected) or len(header) != len(expected):
+    width = len(expected)
+    if sorted(header) != sorted(expected) or len(header) != width:
         raise DocumentError(
             "header-mismatch",
             f"{header} does not bijectively map to schema features {expected}",
             "header row")
-    # One dictionary per column maps stripped cell text to its parsed value,
-    # so each distinct cell is parsed once and events share their values. A
-    # failure is never stored: the first bad cell in row-major order raises.
-    columns = [(header.index(decl.name), decl,
-                {} if decl.index in NON_NULL_FEATURES
-                else {"null": NULL})
-               for decl in schema.features]
 
-    events = []
-    for row_index, row in _records(reader):
-        if not row or (len(row) == 1 and row[0].strip() == ""):
-            continue
-        if len(row) != len(expected):
-            raise DocumentError(
-                "arity-mismatch",
-                f"{len(row)} columns against {len(expected)}-feature schema",
-                f"row {row_index}")
-        values = []
-        for src, decl, parsed in columns:
-            cell = row[src].strip()
-            value = parsed.get(cell)
-            if value is None:
-                value = parsed[cell] = _parse_cell(cell, decl, row_index)
-            values.append(value)
-        events.append(Event(tuple(values)))
-    # each cell was read with its column's datatype: the events conform
-    return World(frozenset(events))
+    # The records up to the first one that cannot be an event. Its error
+    # stands unless a bad cell comes before it.
+    rows, halt = [], None
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as exc:
+        # a record the csv module cannot read, such as one with a field
+        # over its size limit
+        halt = DocumentError("bad-format", str(exc), f"row {len(rows)}")
+        halt.__cause__ = exc
+    row_numbers = range(len(rows))
+    if set(map(len, rows)) - {width}:
+        # blank rows are skipped, but keep their place in the numbering
+        kept = []
+        for row_index, row in enumerate(rows):
+            if not row or (len(row) == 1 and row[0].strip() == ""):
+                continue
+            if len(row) != width:
+                halt = DocumentError(
+                    "arity-mismatch", f"{len(row)} columns against {width}-feature schema",
+                    f"row {row_index}")
+                break
+            kept.append(row_index)
+        rows, row_numbers = list(map(rows.__getitem__, kept)), kept
+
+    # Column by column from here: each column's distinct cells are parsed
+    # once, and each event is assembled from per-cell codes. The first bad
+    # cell in row-major order (cells in schema feature order) raises.
+    cells = list(zip(*rows)) if rows else [()] * width
+    del rows
+    cells = [cells[header.index(decl.name)] for decl in schema.features]
+    columns = [(decl, _encode_column(column, decl))
+               for decl, column in zip(schema.features, cells)]
+    first_bad = None
+    for decl, (values, codes) in columns:
+        bad = [code for code, v in enumerate(values) if v is None]
+        if bad:
+            position = min(map(codes.index, bad))
+            if first_bad is None or position < first_bad[0]:
+                first_bad = (position, decl)
+    if first_bad is not None:
+        position, decl = first_bad
+        _parse_cell(cells[decl.index][position].strip(), decl,
+                    row_numbers[position])   # raises: the cell does not parse
+    if halt is not None:
+        raise halt
+    del cells
+
+    # Each cell was read with its column's datatype, so the events conform;
+    # an event's hash is read off the columns of value hashes.
+    events = list(map(
+        Event._trusted,
+        zip(*(map(values.__getitem__, codes) for _, (values, codes) in columns)),
+        map(hash, zip(*(map(tuple(map(_hash_of, values)).__getitem__, codes)
+                        for _, (values, codes) in columns)))))
+    values, codes = columns[TIMESTAMP_FEATURE][1]
+    stamps = list(map([v.raw for v in values].__getitem__, codes))
+    codes = {decl.index: column for decl, column in columns}
+    del columns
+
+    # Equal events collapse onto the first. Any copy's codes serve it: they
+    # name equal values, which decide every condition alike.
+    first = dict(zip(events, range(len(events))))
+    if len(first) < len(events):
+        kept = list(first.values())
+        events = list(first)
+        stamps = list(map(stamps.__getitem__, kept))
+        codes = {i: (values, list(map(column.__getitem__, kept)))
+                 for i, (values, column) in codes.items()}
+    return World._encoded_as(frozenset(first), EventColumns.ordered(events, stamps, codes))
 
 
 def world_to_text(world: World, schema: FeatureSchema) -> str:

@@ -27,6 +27,7 @@ from odrleval import (
     negate,
     simplify,
 )
+from odrleval.conditions import class_condition
 from conftest import ACTOR, DATETIME, PAGES, RESOLUTION, make_event, num, ts
 
 
@@ -268,6 +269,27 @@ def test_is_a_companion_feature():
     assert eval_simple(is_novel, set_event(asset_classes={"Text"}), s) is False
     # unknown class information (companion null) is an error, hence false
     assert eval_simple(is_novel, set_event(asset_classes=None), s) is False
+
+
+def test_class_condition_is_built_once_per_condition_and_schema():
+    s = set_schema()
+    is_novel = SimpleCondition(3, Operator.IS_A, Value.identifier("Novel"))
+    cc = class_condition(is_novel, s)
+    assert cc == SimpleCondition(5, Operator.HAS_PART, Value.identifier_set({"Novel"}))
+    assert class_condition(is_novel, s) is cc
+    # an equal condition built anew finds the same class test
+    assert class_condition(
+        SimpleCondition(3, Operator.IS_A, Value.identifier("Novel")), s) is cc
+    # a static class set and a non-isA condition read their own feature only
+    assert class_condition(SimpleCondition(2, Operator.IS_A, Value.identifier("Person")),
+                           s) is None
+    assert class_condition(SimpleCondition(3, Operator.EQ, Value.identifier("Novel")),
+                           s) is None
+    # every event evaluates against the one class test
+    for classes in ({"Novel"}, {"Text"}, None):
+        eval_simple(is_novel, set_event(asset_classes=classes), s)
+    assert s.class_conditions == {
+        is_novel: cc, SimpleCondition(2, Operator.IS_A, Value.identifier("Person")): None}
 
 
 def test_is_a_without_any_class_source():

@@ -458,3 +458,64 @@ def test_pairing_tuple_of_wrong_arity_refused():
     permission = EventRule.of(eq(1, "Read"), label="read")
     with pytest.raises(PolicyInvariantError, match="every entry is a"):
         FullPolicy.of(LitePolicy.of({permission}), duty_pairs={(permission,)})
+
+
+def test_rule_and_event_hashes_survive_pickling_across_hash_seeds():
+    # Rules and events cache their hashes too: a rule pickled under one
+    # hash seed and loaded under another must hash as a fresh one does.
+    build = """
+from conftest import make_event, make_f1
+rule, event = make_f1(), make_event(1, "Read", "Bob", "Book", pages=300)
+"""
+    dumped = under_hash_seeds(build + """
+import pickle
+print(pickle.dumps((rule, event)).hex())
+""", seeds=("1",))[0]
+    loaded = under_hash_seeds(build + f"""
+import pickle
+loaded = pickle.loads(bytes.fromhex({dumped.strip()!r}))
+print(loaded == (rule, event), [hash(x) for x in loaded] == [hash(rule), hash(event)],
+      loaded[0].label, loaded[0] in {{rule}}, loaded[1] in {{event}})
+""", seeds=("2",))
+    assert loaded == ["True True f1 True True\n"]
+
+
+def test_trusted_constructors_hash_as_public_ones():
+    from odrleval.model import ValueKind
+    values = (Value.timestamp(3), Value.identifier("Read"), NULL,
+              Value.identifier("Book"), Value.number(1.0), Value.number(2))
+    trusted = tuple(Value._trusted(v.kind, v.raw) for v in values)
+    assert trusted == values
+    assert [hash(v) for v in trusted] == [hash(v) for v in values]
+    assert Value._trusted(ValueKind.NUMBER, 1) == Value.number(1.0)
+    event = Event._trusted(trusted)
+    assert event == Event(values) and hash(event) == hash(Event(values))
+
+
+def test_world_view_takes_no_part_in_equality_repr_or_pickling():
+    import pickle
+    events = [make_event(t, "Read", "Bob", "Book") for t in (2, 1, 2)]
+    world, bare = World.of(events), World.of(events)
+    assert world.ordered() == tuple(sorted(world.events, key=Event.sort_key))
+    assert world == bare and hash(world) == hash(bare) and repr(world) == repr(bare)
+    copy = pickle.loads(pickle.dumps(world))
+    assert "_encoded" not in vars(copy) and copy == world
+    assert copy.ordered() == world.ordered()
+
+
+def test_expander_matches_the_string_join():
+    # The old expansion: one "0"/"1" per code, the last event highest.
+    from random import Random
+    from odrleval.model import expander
+    rng = Random(5)
+    for distinct in (0, 1, 255, 256, 257):
+        codes = list(range(distinct)) + [rng.randrange(distinct) for _ in range(distinct and 40)]
+        rng.shuffle(codes)
+        expand = expander(codes)
+        for flags in (bytearray(distinct), bytearray([1]) * distinct,
+                      bytearray(rng.randrange(2) for _ in range(distinct))):
+            bits = "".join(map("01".__getitem__, flags))
+            joined = int("".join(bits[c] for c in reversed(codes)) or "0", 2)
+            assert expand(flags) == joined, distinct
+    # a column may list values no event holds any more
+    assert expander([1, 0, 1])(bytearray([0, 1]) + bytearray(300)) == 0b101

@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies
@@ -22,8 +22,10 @@ from odrleval import (
     LitePolicy,
     NULL,
     Operator,
+    SimpleCondition,
     Value,
     World,
+    eval_complex,
 )
 from odrleval.policyio import (
     MAX_NESTING_DEPTH,
@@ -38,6 +40,7 @@ from odrleval.policyio import (
     vocabulary_to_document,
     world_to_text,
 )
+from odrleval.matching import MatchTable
 from odrleval.model import Datatype
 from conftest import (
     ACTION, ACTOR, PAGES, RESOLUTION, eq, make_f1, make_o1, make_p1, make_schema,
@@ -271,6 +274,58 @@ def test_world_first_bad_cell_raises_in_row_major_order(schema, prefix):
     assert str(err.value) == f"{where}: 'many' is not numeric"
 
 
+def _first_error(text: str, schema) -> tuple:
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(text, schema)
+    return err.value.kind, err.value.location, str(err.value)
+
+
+def test_world_bad_cell_and_arity_mismatch_raise_in_row_order(schema):
+    good = "1,Read,Bob,Book,null,null"
+    short = "5,Read,Bob,Book,null"
+    bad = "2,Read,Bob,Book,null,many"
+    assert _first_error(_log(good, bad, good, good, good, short), schema) == (
+        "unparsable-value", "row 1, column Book.Pages",
+        "row 1, column Book.Pages: 'many' is not numeric")
+    assert _first_error(_log(good, short, good, good, good, bad), schema) == (
+        "arity-mismatch", "row 1", "row 1: 5 columns against 6-feature schema")
+
+
+def test_world_two_bad_cells_in_a_row_name_the_first_in_schema_order(schema):
+    # the header lists Book.Pages before Print.Resolution; the schema does not
+    text = ("Book.Pages,Print.Resolution,Datetime,Action,Actor,Asset\n"
+            "1,2,3,Read,Bob,Book\n"
+            "pages,resolution,4,Read,Bob,Book\n")
+    assert _first_error(text, schema)[1] == "row 1, column Print.Resolution"
+    text = _log("1,Read,Bob,Book,null,null", "x,Read,Bob,Book,many,null")
+    assert _first_error(text, schema)[1] == "row 1, column Datetime"
+
+
+def test_world_bad_cell_first_seen_late_does_not_win(schema):
+    # One column turns bad in row 2, the other in row 3, and both bad texts
+    # repeat later: the bad cell in the earlier row wins, whichever column
+    # holds it.
+    rows = ["1,Read,Bob,Book,500,500", "2,Read,Bob,Book,500,500",
+            "3,Read,Bob,Book,500,pages", "4,Read,Bob,Book,wide,500",
+            "5,Read,Bob,Book,wide,pages"]
+    assert _first_error(_log(*rows), schema)[1] == "row 2, column Book.Pages"
+    rows[2], rows[3] = "3,Read,Bob,Book,wide,500", "4,Read,Bob,Book,500,pages"
+    assert _first_error(_log(*rows), schema)[1] == "row 2, column Print.Resolution"
+
+
+@pytest.mark.parametrize("blank", ["\n", "   \n"], ids=["empty", "spaces"])
+def test_world_blank_rows_keep_their_place_in_error_locations(schema, blank):
+    good, bad = "1,Read,Bob,Book,null,null\n", "2,Read,Bob,Book,null,many\n"
+    text = WORLD_HEADER + blank + good + blank + blank + bad
+    assert _first_error(text, schema)[1] == "row 4, column Book.Pages"
+    text = WORLD_HEADER + blank + good + blank + "2,Read\n"
+    assert _first_error(text, schema)[:2] == ("arity-mismatch", "row 3")
+    text = WORLD_HEADER + blank + good + "3,Read," + "B" * 200_000 + ",Book,null,null\n"
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(text, schema)
+    assert (err.value.kind, err.value.location) == ("bad-format", "row 2")
+
+
 # The demo features plus one identifier-set and one string feature, so every
 # datatype has a column.
 WIDE_SCHEMA = FeatureSchema(make_schema().features + (
@@ -317,6 +372,62 @@ def test_world_parse_matches_per_cell_reference(rows):
     assert world == reference
     assert world_to_text(world, WIDE_SCHEMA) == world_to_text(reference, WIDE_SCHEMA)
     assert parse_world_text(world_to_text(world, WIDE_SCHEMA), WIDE_SCHEMA) == world
+
+
+_WIDE_CONDITIONS = st.one_of(
+    strategies.conditions(),
+    st.sampled_from([
+        SimpleCondition(6, Operator.HAS_PART, Value.identifier_set({"a"})),
+        SimpleCondition(6, Operator.IS_ALL_OF, Value.identifier_set(())),
+        SimpleCondition(7, Operator.GT, Value.text("EU")),
+        SimpleCondition(7, Operator.EQ, Value.text("")),
+        SimpleCondition(0, Operator.EQ, Value.timestamp(5)),
+        SimpleCondition(5, Operator.EQ, Value.number(450.0)),
+    ]))
+
+
+def assert_view_matches(world: World, reference: World, conditions, schema) -> None:
+    """A parsed world against the world of its events: the same events in
+    the same order, each event the same object up to its literal, and the
+    same match sets over the parsed world's encoded view as
+    ``eval_complex`` gives event by event."""
+    assert world == reference and world.events == reference.events
+    assert world.ordered() == reference.ordered()
+    assert [e.render() for e in world.ordered()] == [e.render() for e in reference.ordered()]
+    table, listed = MatchTable(world._encoded, schema), MatchTable(reference.ordered(), schema)
+    for c in conditions:
+        expected = sum(1 << j for j, e in enumerate(world.ordered())
+                       if eval_complex(c, e, schema))
+        assert table.condition(c) == listed.condition(c) == expected, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(strategies.events(), max_size=15),
+       st.lists(strategies.conditions(), min_size=1, max_size=4))
+def test_parsed_world_round_trip_matches_world_of_events(events, conditions):
+    # few timestamps and few values: ties, duplicate rows and null cells
+    schema = make_schema()
+    reference = World.of(events)
+    world = parse_world_text(world_to_text(reference, schema), schema)
+    assert_view_matches(world, reference, conditions, schema)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*(st.sampled_from(cells) for cells in WIDE_CELLS)),
+                max_size=30),
+       st.lists(_WIDE_CONDITIONS, min_size=1, max_size=4))
+# two rows make one event: the first row's literals stay
+@example([("5", "Read", "Bob", "Book", "5", "450", "a|b", "EU"),
+          ("1970-01-01T00:00:05", "Read", "Bob", "Book", "5.0", "450.0", "b|a", " EU")],
+         [SimpleCondition(5, Operator.EQ, Value.number(450))])
+def test_parsed_world_view_matches_per_cell_reference(rows, conditions):
+    # equal values written differently: 1 and 1.0, ISO and ticks, a|b and b|a
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([d.name for d in WIDE_SCHEMA.features])
+    writer.writerows(rows)
+    world = parse_world_text(out.getvalue(), WIDE_SCHEMA)
+    assert_view_matches(world, _reference_world(rows, WIDE_SCHEMA), conditions, WIDE_SCHEMA)
 
 
 def test_iso_timestamps_map_to_epoch_seconds():

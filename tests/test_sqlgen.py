@@ -26,6 +26,8 @@ from odrleval import (
     evaluate_lite,
     world_insert_sql,
 )
+from odrleval.matching import match_unchecked, strip_deadline_conditions
+from odrleval.model import deadline_conditions
 from odrleval.policyio import parse_policy_document, parse_world_text
 from odrleval.sqlgen import create_table_sql, sanitize_name
 from conftest import (
@@ -405,6 +407,35 @@ def test_random_differential_extreme_values_and_nested_xor():
         agree_with_evaluator(policy, extreme_world(rng), schema)
 
 
+def _late_fulfilment_world(policy, rng: Random) -> World:
+    """For the policy's obligation-consequence pair: the obligation met only
+    after its deadline t, and an event exactly at t that its consequence
+    permission pins."""
+    (tau, consequence), = policy.obligation_consequence_pairs
+
+    def pinned_event(rule, at):
+        pins = {c.feature: c.value.raw for c in rule.conditions
+                if isinstance(c, SimpleCondition) and c.op is Operator.EQ}
+        return make_event(at, pins[ACTION], pins[ACTOR],
+                          pins.get(ASSET, rng.choice(("Picture", "Book"))))
+    t = deadline_conditions(tau)[0].value.raw
+    return World.of((pinned_event(tau, rng.randint(t + 1, 6)), pinned_event(consequence, t)))
+
+
+def _consequence_only_at_missed_deadline(policy, world, schema) -> bool:
+    """Whether the obligation is unmet by its deadline t, met later, and
+    every event its consequence matches sits exactly at t."""
+    for tau, consequence in policy.obligation_consequence_pairs:
+        t = deadline_conditions(tau)[0].value.raw
+        late = strip_deadline_conditions(tau)
+        if (not any(match_unchecked(tau, e, schema) for e in world.events)
+                and any(match_unchecked(late, e, schema) for e in world.events)
+                and {e.timestamp for e in world.events
+                     if match_unchecked(consequence, e, schema)} == {t}):
+            return True
+    return False
+
+
 def test_full_clause_differential(schema):
     from odrleval import Clause
     clause_for = {
@@ -413,17 +444,8 @@ def test_full_clause_differential(schema):
             Clause.PERMISSION_DUTIES_WITH_CONSEQUENCES,
         "prohibition-remedies-violation": Clause.PROHIBITION_REMEDIES,
     }
-    rng = Random(77077)
-    for _ in range(120):
-        policy = random_full_policy(rng)
-        world = World.of((
-            make_event(rng.randint(0, 5),
-                       rng.choice(("Print", "Read", "Pay")),
-                       rng.choice(("Alice", "Bob", None)),
-                       rng.choice(("Picture", "Book", None)),
-                       pages=rng.choice((None, 100, 300)))
-            for _ in range(rng.randint(0, 5))
-        ))
+
+    def agree(policy, world):
         emitted = emit_full_violation_queries(policy, schema)
         results = run_clauses(emitted, world, schema)
         report = evaluate_full(policy, world, schema)
@@ -434,6 +456,27 @@ def test_full_clause_differential(schema):
         sql_flag = bool(results["obligation-consequences-violation"])
         mem_flag = bool(report.by_clause(Clause.OBLIGATION_CONSEQUENCES))
         assert sql_flag == mem_flag, (policy, world.ordered())
+
+    rng, planting = Random(77077), Random(77078)
+    at_deadline = 0
+    for _ in range(120):
+        policy = random_full_policy(rng)
+        world = World.of((
+            make_event(rng.randint(0, 5),
+                       rng.choice(("Print", "Read", "Pay")),
+                       rng.choice(("Alice", "Bob", None)),
+                       rng.choice(("Picture", "Book", None)),
+                       pages=rng.choice((None, 100, 300)))
+            for _ in range(rng.randint(0, 5))
+        ))
+        worlds = [world]
+        if policy.obligation_consequence_pairs:
+            # a consequence at the deadline itself restores validity
+            worlds.append(_late_fulfilment_world(policy, planting))
+        for w in worlds:
+            agree(policy, w)
+            at_deadline += _consequence_only_at_missed_deadline(policy, w, schema)
+    assert at_deadline > 0
 
 
 def test_pairing_queries_take_linear_steps_in_the_log(schema):
