@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 import sys
 from datetime import datetime, timezone
 from itertools import repeat
@@ -57,6 +56,7 @@ from .model import (
     ValueKind,
     World,
     Xor,
+    _value_hash,
     ordered_rules,
 )
 
@@ -324,9 +324,6 @@ def _encode_column(cells: tuple, decl: FeatureDecl) -> tuple:
     return tuple(parsed.values()), list(map(cell_code.__getitem__, cells))
 
 
-_hash_of = operator.attrgetter("_hash")
-
-
 def parse_world_text(text: str, schema: FeatureSchema) -> World:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -398,7 +395,7 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     events = list(map(
         Event._trusted,
         zip(*(map(values.__getitem__, codes) for _, (values, codes) in columns)),
-        map(hash, zip(*(map(tuple(map(_hash_of, values)).__getitem__, codes)
+        map(hash, zip(*(map(tuple(map(_value_hash, values)).__getitem__, codes)
                         for _, (values, codes) in columns)))))
     values, codes = columns[TIMESTAMP_FEATURE][1]
     stamps = list(map([v.raw for v in values].__getitem__, codes))
