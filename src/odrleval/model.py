@@ -309,11 +309,6 @@ class FeatureSchema:
         return tuple(KIND_FOR_DATATYPE[decl.datatype] for decl in self.features)
 
     @functools.cached_property
-    def slot_kinds(self) -> tuple:
-        """The value kinds each event slot may hold: its own, or null."""
-        return tuple(frozenset({kind, ValueKind.NULL}) for kind in self.value_kinds)
-
-    @functools.cached_property
     def well_formed_verdicts(self) -> dict:
         """Memo of ``matching.is_well_formed``: rule -> whether it is
         well-formed under this schema. A rule's label takes no part in its
@@ -425,14 +420,12 @@ class Event:
         return Event, (self.values,)
 
     @staticmethod
-    def _trusted(values: tuple, h: int | None = None) -> "Event":
+    def _trusted(values: tuple) -> "Event":
         """An event whose slots the caller built from schema-typed values,
-        built without a second check. ``h``, when given, is
-        ``hash(tuple(v._hash for v in values))``, computed by the caller
-        from columns of value hashes."""
+        built without a second check."""
         e = _new(Event)
         _set_values(e, values)
-        _set_event_hash(e, hash(tuple(map(_value_hash, values))) if h is None else h)
+        _set_event_hash(e, hash(tuple(map(_value_hash, values))))
         return e
 
     @property
@@ -456,7 +449,6 @@ class Event:
 _set_values, _set_event_hash = Event.values.__set__, Event._hash.__set__
 # An event's hash is the hash of its slots' cached hashes.
 _value_hash = operator.attrgetter("_hash")
-_kind_of = operator.attrgetter("kind")
 
 
 def conform_event(event: Event, schema: FeatureSchema) -> None:
@@ -465,8 +457,6 @@ def conform_event(event: Event, schema: FeatureSchema) -> None:
     if len(event.values) != len(kinds):
         raise WorldConformanceError(
             f"event arity {len(event.values)} does not match schema arity {len(kinds)}")
-    if all(map(frozenset.__contains__, schema.slot_kinds, map(_kind_of, event.values))):
-        return
     for decl, v, kind in zip(schema.features, event.values, kinds):
         if v.kind is not kind and v.kind is not ValueKind.NULL:
             raise WorldConformanceError(
@@ -555,8 +545,6 @@ class EventColumns:
         n = len(stamps)
         ascending = sorted(stamps)
         if len(set(stamps)) == n:
-            if stamps == ascending:   # a log written in time order
-                return EventColumns(tuple(events), stamps, codes)
             order = sorted(range(n), key=stamps.__getitem__)
         else:
             # slot 0 is the timestamp: full keys only for events sharing one
@@ -607,6 +595,10 @@ def expander(codes) -> Callable:
             digits = flags[:256].translate(_BINARY_DIGITS).ljust(256, b"0")
             return int(layout.translate(digits), 2)
         return expand
+    if len(codes) == 1:
+        # an itemgetter of one item gives the flag itself, not a tuple
+        code = codes[0]
+        return lambda flags: flags[code]
     pick = operator.itemgetter(*reversed(codes))
 
     def expand(flags) -> int:

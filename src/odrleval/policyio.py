@@ -20,7 +20,6 @@ import csv
 import io
 import sys
 from datetime import datetime, timezone
-from itertools import repeat
 
 from .errors import DocumentError, IllFormedRuleError, ModelInvariantError
 from .evaluation import Finding, ViolationReport
@@ -56,7 +55,6 @@ from .model import (
     ValueKind,
     World,
     Xor,
-    _value_hash,
     ordered_rules,
 )
 
@@ -287,34 +285,19 @@ def _parse_cell(cell: str, decl: FeatureDecl, row_index: int) -> Value:
     return parse_value(cell, decl.datatype, where)
 
 
-# Datatypes whose cells are mostly integers, and the kind of value they give.
-_INTEGER_KINDS = {Datatype.TIMESTAMP: ValueKind.TIMESTAMP, Datatype.NUMERIC: ValueKind.NUMBER}
-
-
 def _encode_column(cells: tuple, decl: FeatureDecl) -> tuple:
     """One column's distinct stripped texts, each parsed once, and one code
     per cell: ``(values, codes)``, where ``values[codes[j]]`` is row ``j``'s
-    value, or None when its cell does not parse."""
+    value, or None when its cell does not parse. Codes are numbered in the
+    order their texts first appear, so code ``k`` first appears before code
+    ``k + 1``."""
     distinct = dict.fromkeys(cells)
     texts = list(map(str.strip, distinct))
-    todo = dict.fromkeys(texts)
     parsed: dict = {}   # stripped text -> value, or None
-    if "null" in todo:
-        del todo["null"]
-        parsed["null"] = None if decl.index in NON_NULL_FEATURES else NULL
-    kind = _INTEGER_KINDS.get(decl.datatype)
-    if kind is not None:
-        # a column of integer texts in one pass, as parse_value reads each
-        try:
-            ints = list(map(int, todo))
-        except ValueError:
-            pass
-        else:
-            if kind is ValueKind.TIMESTAMP or max(map(abs, ints), default=0) \
-                    <= sys.float_info.max:
-                parsed.update(zip(todo, map(Value._trusted, repeat(kind), ints)))
-                todo = ()
-    for text in todo:
+    for text in dict.fromkeys(texts):
+        if text == "null":
+            parsed[text] = None if decl.index in NON_NULL_FEATURES else NULL
+            continue
         try:
             parsed[text] = parse_value(text, decl.datatype, "")
         except DocumentError:
@@ -379,7 +362,7 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     for decl, (values, codes) in columns:
         bad = [code for code, v in enumerate(values) if v is None]
         if bad:
-            position = min(map(codes.index, bad))
+            position = codes.index(bad[0])   # the lowest code appears first
             if first_bad is None or position < first_bad[0]:
                 first_bad = (position, decl)
     if first_bad is not None:
@@ -390,28 +373,25 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
         raise halt
     del cells
 
-    # Each cell was read with its column's datatype, so the events conform;
-    # an event's hash is read off the columns of value hashes.
-    events = list(map(
-        Event._trusted,
-        zip(*(map(values.__getitem__, codes) for _, (values, codes) in columns)),
-        map(hash, zip(*(map(tuple(map(_value_hash, values)).__getitem__, codes)
-                        for _, (values, codes) in columns)))))
+    # Each cell was read with its column's datatype, so the events conform.
+    events = list(map(Event._trusted, zip(
+        *(map(values.__getitem__, codes) for _, (values, codes) in columns))))
     values, codes = columns[TIMESTAMP_FEATURE][1]
     stamps = list(map([v.raw for v in values].__getitem__, codes))
     codes = {decl.index: column for decl, column in columns}
     del columns
 
-    # Equal events collapse onto the first. Any copy's codes serve it: they
-    # name equal values, which decide every condition alike.
-    first = dict(zip(events, range(len(events))))
-    if len(first) < len(events):
-        kept = list(first.values())
-        events = list(first)
+    # Equal events collapse onto the first row that holds one, with that
+    # row's codes.
+    n = len(events)
+    if len(set(events)) < n:
+        # a dict keeps the last index it is given for a key: feed it backwards
+        kept = sorted(dict(zip(reversed(events), reversed(range(n)))).values())
+        events = list(map(events.__getitem__, kept))
         stamps = list(map(stamps.__getitem__, kept))
         codes = {i: (values, list(map(column.__getitem__, kept)))
                  for i, (values, column) in codes.items()}
-    return World._encoded_as(frozenset(first), EventColumns.ordered(events, stamps, codes))
+    return World._encoded_as(frozenset(events), EventColumns.ordered(events, stamps, codes))
 
 
 def world_to_text(world: World, schema: FeatureSchema) -> str:

@@ -519,3 +519,9 @@ def test_expander_matches_the_string_join():
             assert expand(flags) == joined, distinct
     # a column may list values no event holds any more
     assert expander([1, 0, 1])(bytearray([0, 1]) + bytearray(300)) == 0b101
+    # one event whose code is past the one-bytes layout
+    for code in (0, 255, 256, 300):
+        flags = bytearray(301)
+        assert expander([code])(flags) == 0
+        flags[code] = 1
+        assert expander([code])(flags) == 1
