@@ -349,6 +349,20 @@ def test_world_bad_column_is_located_in_linear_time(schema):
     assert bad < 5 * good, (bad, good)
 
 
+def test_world_column_codes_are_numbered_in_order_of_first_appearance(schema):
+    # The parser finds a column's first bad row with one scan for its lowest
+    # bad code, which holds only if code k first appears before code k + 1.
+    from odrleval.policyio import _encode_column
+    pages = schema.features[PAGES]
+    cells = ("x9", " 7", "null", "7", "x1", "7.0", "x9", " x1 ", "3")
+    values, codes = _encode_column(cells, pages)
+    firsts = [codes.index(k) for k in range(len(values))]
+    assert firsts == sorted(firsts) and sorted(set(codes)) == list(range(len(values)))
+    assert [values[k] is None for k in codes] == [True, False, False, False, True,
+                                                  False, True, True, False]
+    assert codes[1] == codes[3] and codes[4] == codes[7]   # one code per stripped text
+
+
 def test_world_rows_of_one_event_written_differently_collapse_onto_the_first(schema):
     # 300 spellings of one event make 300 distinct timestamp codes for it,
     # then a second event: the collapsed event keeps the first row.
