@@ -47,7 +47,9 @@ def _read_json(path: str):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal past the
+        # interpreter's digit limit for int conversion
         raise DocumentError("bad-format", f"not valid JSON: {exc}", path)
 
 

@@ -14,7 +14,6 @@ gives the plain verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,11 +25,15 @@ from .matching import (
     strip_deadline_conditions,
 )
 from .model import (
+    Event,
     EventRule,
     FeatureSchema,
     FullPolicy,
     LitePolicy,
+    Operator,
     Policy,
+    SimpleCondition,
+    TIMESTAMP_FEATURE,
     World,
     as_full,
     conform_world,
@@ -100,9 +103,7 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the lite clauses plus duties, remedies and consequences."""
     events = conform_world(w, s)
     require_well_formed(p.all_rules(), s)
-    columns = w._encoded   # the encoded view of ``events``
-    stamps = columns.timestamps
-    table = MatchTable(columns, s)
+    table = MatchTable(w._encoded, s)   # bit j stands for events[j]
     findings = []
 
     # Permissions: an event no permission matches is a violation; with an
@@ -123,17 +124,15 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
                 Clause.OBLIGATIONS, rules=(tau.display_label(s),),
                 missing=f"no event matches obligation {tau.display_label(s)}"))
 
-    # Events are in timestamp order: those before a rule's earliest timestamp
-    # form a prefix, and those after its latest timestamp a suffix.
+    # The events before a rule's first match, and those after its last, as
+    # timestamp conditions; every event when the rule matches none.
     def earlier(rule: EventRule) -> int:
         m = table.rule(rule)
-        k = bisect_left(stamps, stamps[lowest_bit(m)]) if m else len(events)
-        return (1 << k) - 1
+        return table.condition(_stamp(Operator.LT, events[lowest_bit(m)])) if m else table.all
 
     def later(rule: EventRule) -> int:
         m = table.rule(rule)
-        k = bisect_right(stamps, stamps[m.bit_length() - 1]) if m else 0
-        return table.all >> k << k
+        return table.condition(_stamp(Operator.GT, events[m.bit_length() - 1])) if m else table.all
 
     # Permission duties: a permitted event with no duty event at or before it.
     for labels, (tau_r, duty_r) in _labelled(p.duty_pairs, s):
@@ -173,7 +172,8 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
         late = table.rule(strip_deadline_conditions(tau_r))
         for deadline in deadline_conditions(tau_r):
             t = deadline.value.raw
-            if not late or not table.rule(consequence_r) >> bisect_left(stamps, t):
+            since = SimpleCondition(TIMESTAMP_FEATURE, Operator.GTEQ, deadline.value)
+            if not late or not table.rule(consequence_r) & table.condition(since):
                 findings.append(Finding(
                     Clause.OBLIGATION_CONSEQUENCES, rules=labels,
                     missing=f"obligation unfulfilled by timestamp {t} and no late "
@@ -181,6 +181,11 @@ def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
     findings.sort(key=Finding.sort_key)
     return ViolationReport(not findings, tuple(findings))
+
+
+def _stamp(op: Operator, e: Event) -> SimpleCondition:
+    """``<Datetime, op, t>`` with ``e``'s timestamp t."""
+    return SimpleCondition(TIMESTAMP_FEATURE, op, e.value(TIMESTAMP_FEATURE))
 
 
 def _labelled(tuples, s: FeatureSchema):

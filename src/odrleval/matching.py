@@ -26,7 +26,6 @@ from .model import (
     Condition,
     Constant,
     Event,
-    EventColumns,
     EventRule,
     FeatureSchema,
     Not,
@@ -213,17 +212,17 @@ class MatchTable:
     """Match sets over one event sequence: bit ``j`` stands for ``events[j]``.
     Each distinct condition is compiled once, on first use.
 
-    The sequence is any sequence with a ``column`` view: a world's
-    ``EventColumns``, or a witness domain that computes its bitsets from its
-    product structure without listing its events. A plain list of events is
-    encoded into ``EventColumns`` first. ``column(i)`` gives feature ``i``'s
-    values and a function from one flag per value to the bitset of the
-    events whose feature ``i`` holds a flagged value. When the sequence
-    lists ``timestamps`` in order, a timestamp comparison is a range of
-    bits, found by bisection."""
+    The sequence has a ``column`` view: ``EventColumns``, a world's among
+    them, or a witness domain that computes its bitsets from its product
+    structure without listing its events. ``column(i)`` gives feature
+    ``i``'s values and a function from one flag per value to the bitset of
+    the events whose feature ``i`` holds a flagged value. When the sequence
+    lists ``timestamps`` in order, as a world's view does, a timestamp
+    comparison is a range of bits, found by bisection: the time windows of
+    ``evaluate_full`` are such comparisons."""
 
     def __init__(self, events, schema: FeatureSchema):
-        self.events = events if hasattr(events, "column") else EventColumns(tuple(events))
+        self.events = events
         self.schema = schema
         self.all = (1 << len(self.events)) - 1
         self._columns: dict = {}   # feature index -> (values, expand)

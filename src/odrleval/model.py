@@ -469,9 +469,9 @@ class World:
     """A finite set of events; duplicates by value collapse.
 
     A world keeps a private encoded view of its events, ``EventColumns`` in
-    ``ordered()`` order. The view is derived state: it takes no part in
-    equality, hashing, repr or pickling, and a world built from events
-    computes it on first use."""
+    ``ordered()`` order, which ``EventColumns.ordered`` alone builds. The
+    view is derived state: it takes no part in equality, hashing, repr or
+    pickling, and a world built from events computes it on first use."""
 
     events: frozenset
 
@@ -486,17 +486,15 @@ class World:
         return world
 
     @staticmethod
-    def _encoded_as(events: frozenset, view: "EventColumns") -> "World":
-        """The world of ``events`` with ``view`` as its encoded view, which
-        the caller built from the same events."""
-        world = World(events)
+    def _encoded_as(view: "EventColumns") -> "World":
+        """The world of ``view``'s events, with ``view`` as its encoded view."""
+        world = World(view.events)
         world.__dict__["_encoded"] = view
         return world
 
     @functools.cached_property
     def _encoded(self) -> "EventColumns":
-        events = tuple(self.events)
-        return EventColumns.ordered(events, list(map(_timestamp_raw, events)))
+        return EventColumns.ordered(tuple(self.events))
 
     def __reduce__(self):
         return World, (self.events,)
@@ -512,10 +510,6 @@ class World:
         return self._encoded.events
 
 
-def _timestamp_raw(e: Event) -> int:
-    return e.values[TIMESTAMP_FEATURE].raw
-
-
 class EventColumns:
     """Events in a fixed order, dictionary-encoded one feature at a time.
 
@@ -526,7 +520,7 @@ class EventColumns:
     reads: the values, and a function from one flag per value to the bitset
     of the events holding a flagged one, bit ``j`` for ``events[j]``.
     ``timestamps`` lists the events' timestamps when the events are in
-    timestamp order, else it is None."""
+    timestamp order, as ``ordered`` puts them, else it is None."""
 
     __slots__ = ("events", "timestamps", "_codes")
 
@@ -537,24 +531,28 @@ class EventColumns:
         self._codes = {} if codes is None else codes
 
     @staticmethod
-    def ordered(events, stamps: list, codes: dict | None = None) -> "EventColumns":
-        """``events`` (distinct, each with its timestamp in ``stamps``) in
-        ``Event.sort_key`` order. ``codes`` maps a feature to its column in
-        the order given, ``(values, codes)``; any other feature is encoded
-        on first use."""
+    def ordered(events, codes: dict | None = None) -> "EventColumns":
+        """A world's view: ``events`` in ``Event.sort_key`` order, equal
+        events collapsed onto the first. ``codes`` maps a feature to its
+        column in the order given, ``(values, codes)``; any other feature is
+        encoded on first use."""
+        stamps = [e.values[TIMESTAMP_FEATURE].raw for e in events]
         n = len(stamps)
-        ascending = sorted(stamps)
         if len(set(stamps)) == n:
             order = sorted(range(n), key=stamps.__getitem__)
         else:
+            # Equal events share a timestamp. Each keeps its first index: a
+            # dict keeps the last index it is given for a key, so feed it backwards.
+            kept = dict(zip(reversed(events), reversed(range(n)))).values()
             # slot 0 is the timestamp: full keys only for events sharing one
             tied = Counter(stamps)
-            order = sorted(range(n), key=lambda j: (stamps[j], events[j].sort_key())
+            order = sorted(kept, key=lambda j: (stamps[j], events[j].sort_key())
                            if tied[stamps[j]] > 1 else (stamps[j],))
         if codes is not None:
             codes = {i: (values, list(map(column.__getitem__, order)))
                      for i, (values, column) in codes.items()}
-        return EventColumns(tuple(map(events.__getitem__, order)), ascending, codes)
+        return EventColumns(tuple(map(events.__getitem__, order)),
+                            list(map(stamps.__getitem__, order)), codes)
 
     def __len__(self) -> int:
         return len(self.events)

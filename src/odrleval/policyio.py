@@ -50,7 +50,6 @@ from .model import (
     RULE_WIDE,
     SCALAR_OPERATORS,
     SimpleCondition,
-    TIMESTAMP_FEATURE,
     Value,
     ValueKind,
     World,
@@ -376,22 +375,10 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     # Each cell was read with its column's datatype, so the events conform.
     events = list(map(Event._trusted, zip(
         *(map(values.__getitem__, codes) for _, (values, codes) in columns))))
-    values, codes = columns[TIMESTAMP_FEATURE][1]
-    stamps = list(map([v.raw for v in values].__getitem__, codes))
-    codes = {decl.index: column for decl, column in columns}
-    del columns
-
     # Equal events collapse onto the first row that holds one, with that
     # row's codes.
-    n = len(events)
-    if len(set(events)) < n:
-        # a dict keeps the last index it is given for a key: feed it backwards
-        kept = sorted(dict(zip(reversed(events), reversed(range(n)))).values())
-        events = list(map(events.__getitem__, kept))
-        stamps = list(map(stamps.__getitem__, kept))
-        codes = {i: (values, list(map(column.__getitem__, kept)))
-                 for i, (values, column) in codes.items()}
-    return World._encoded_as(frozenset(events), EventColumns.ordered(events, stamps, codes))
+    return World._encoded_as(EventColumns.ordered(
+        events, {decl.index: column for decl, column in columns}))
 
 
 def world_to_text(world: World, schema: FeatureSchema) -> str:

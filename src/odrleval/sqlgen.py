@@ -131,6 +131,11 @@ def create_table_sql(schema: FeatureSchema) -> str:
 def _quote(s: str) -> str:
     if "\x00" in s:
         raise QueryEmitError(f"string {s!r} holds U+0000, which SQL text cannot carry")
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        raise QueryEmitError(
+            f"string {s!r} holds a lone surrogate, which UTF-8 cannot encode") from None
     return "'" + s.replace("'", "''") + "'"
 
 

@@ -147,3 +147,27 @@ def test_operator_families_are_declared_once():
                               if isinstance(op, (ast.In, ast.NotIn))
                               and _operator_members(right) >= 2]
     assert offending == []
+
+
+def test_world_order_has_one_owner():
+    # model.EventColumns orders a world and lists its timestamps, and the
+    # match table turns a timestamp comparison into a range of bits; any
+    # other module asks the table for a timestamp condition instead.
+    src = Path(odrleval.__file__).parent
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            reads_stamps = (
+                (isinstance(node, ast.Attribute) and node.attr == "timestamps")
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "timestamps"))
+            imports_bisect = (
+                (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "bisect" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "bisect"))
+            if ((reads_stamps and path.stem not in ("model", "matching"))
+                    or (imports_bisect and path.stem != "matching")):
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []

@@ -585,6 +585,39 @@ def test_emit_query_nul_in_policy_string_exits_2(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+def test_emit_query_lone_surrogate_in_policy_string_exits_2(capsys, tmp_path):
+    # JSON may escape a lone surrogate, which UTF-8 cannot encode; no query
+    # file is written.
+    text = (DEMO / "policy.json").read_text()
+    pfile = tmp_path / "policy.json"
+    pfile.write_text(text.replace('"Picture"', '"Pic\\ud800ture"', 1))
+    assert "\\ud800" in pfile.read_text()
+    out_dir = tmp_path / "queries"
+    code, out, err = run(capsys, "emit-query", "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "QueryEmitError"
+    assert not out_dir.exists()
+
+
+def test_json_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # Past CPython's 4,300-digit limit for int conversion json.loads raises a
+    # bare ValueError. Without the limit the number is read and no numeric
+    # value holds it. Either way it is an input error.
+    text = (DEMO / "policy.json").read_text()
+    pfile = tmp_path / "policy.json"
+    pfile.write_text(text.replace('"rightOperand": 250', '"rightOperand": ' + "9" * 5000, 1))
+    assert "9" * 5000 in pfile.read_text()
+    code, out, err = run(capsys, "check", "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert (error["error"], error["location"]) == ("bad-format", str(pfile))
+    else:
+        assert error["error"] == "unparsable-value"
+
+
 def test_canonical_or_xor_const_through_the_cli(capsys, tmp_path):
     from odrleval import LitePolicy
     from odrleval.policyio import parse_policy_document, parse_schema_document

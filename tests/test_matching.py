@@ -34,6 +34,7 @@ from odrleval import (
 from odrleval.conditions import eval_value
 from odrleval.matching import MatchTable, bit_positions, match_unchecked
 from odrleval.model import (
+    EventColumns,
     MEMBERSHIP_OPERATORS,
     SCALAR_OPERATORS,
     ValueKind,
@@ -284,7 +285,7 @@ def tagged_bob(*tags):
           eq(ACTOR, "Bob")])
 def test_match_table_agrees_with_eval_complex(events, conditions):
     schema = strategies.tagged_schema()
-    table = MatchTable(events, schema)
+    table = MatchTable(EventColumns(tuple(events)), schema)
     for c in conditions:
         expected = [eval_complex(c, e, schema) for e in events]
         assert [bool(table.condition(c) >> j & 1) for j in range(len(events))] == expected
@@ -304,7 +305,7 @@ def assert_domain_table_equals_listed(rules, schema):
     assert [domain[j] for j in range(len(events))] == list(events)
     with pytest.raises(IndexError):
         domain[len(events)]
-    product, listed = MatchTable(domain, schema), MatchTable(events, schema)
+    product, listed = MatchTable(domain, schema), MatchTable(EventColumns(events), schema)
     for c in {c for r in rules for top in r.conditions
               for c in (top, *simple_conditions_of(top))}:
         assert product.condition(c) == listed.condition(c), c
@@ -415,7 +416,8 @@ def test_lookup_masks_equal_value_test_masks(values, conditions):
     # repeat a value, and a lookup must flag every position holding it.
     schema = make_schema()
     events, domain = _single_column_sequences(values)
-    for source, sequence in ((events, events), (domain, list(domain.events()))):
+    for source, sequence in ((EventColumns(tuple(events)), events),
+                             (domain, list(domain.events()))):
         table = MatchTable(source, schema)
         for c in conditions:
             expected = sum(1 << j for j, e in enumerate(sequence)
@@ -427,7 +429,8 @@ def test_order_condition_makes_no_value_tests(schema, monkeypatch):
     calls = []
     monkeypatch.setattr("odrleval.matching.eval_value",
                         lambda *args: calls.append(args) or eval_value(*args))
-    table = MatchTable([make_event(t, "Read", "Bob", "Book") for t in range(2000)], schema)
+    events = tuple(make_event(t, "Read", "Bob", "Book") for t in range(2000))
+    table = MatchTable(EventColumns(events), schema)
     assert bit_positions(table.condition(ts(Operator.GTEQ, 1500))) == list(range(1500, 2000))
     assert calls == []
 

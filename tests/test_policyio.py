@@ -41,7 +41,7 @@ from odrleval.policyio import (
     world_to_text,
 )
 from odrleval.matching import MatchTable
-from odrleval.model import Datatype
+from odrleval.model import Datatype, EventColumns
 from conftest import (
     ACTION, ACTOR, PAGES, RESOLUTION, eq, make_event, make_f1, make_o1, make_p1,
     make_schema, not_chain, ts)
@@ -447,7 +447,8 @@ def assert_view_matches(world: World, reference: World, conditions, schema) -> N
     assert world == reference and world.events == reference.events
     assert world.ordered() == reference.ordered()
     assert [e.render() for e in world.ordered()] == [e.render() for e in reference.ordered()]
-    table, listed = MatchTable(world._encoded, schema), MatchTable(reference.ordered(), schema)
+    table = MatchTable(world._encoded, schema)
+    listed = MatchTable(EventColumns(reference.ordered()), schema)
     for c in conditions:
         expected = sum(1 << j for j, e in enumerate(world.ordered())
                        if eval_complex(c, e, schema))

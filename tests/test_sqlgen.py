@@ -584,6 +584,17 @@ def test_nul_in_a_string_is_rejected(schema):
         world_insert_sql(world, schema)
 
 
+def test_lone_surrogate_in_a_string_is_rejected(schema):
+    # UTF-8 cannot encode a lone surrogate, and sqlite refuses a statement
+    # holding one, so none is emitted.
+    policy = LitePolicy.of({EventRule.of(eq(ACTION, "Read"), eq(ACTOR, "Ali\ud800ce"))})
+    with pytest.raises(QueryEmitError, match="surrogate"):
+        emit_violation_queries(policy, schema)
+    world = World.of([make_event(1, "Read", "Ali\ud800ce", "Book")], schema)
+    with pytest.raises(QueryEmitError, match="surrogate"):
+        world_insert_sql(world, schema)
+
+
 def test_world_insert_sql_checks_conformance(schema):
     from odrleval import Event, WorldConformanceError
     short = Event((Value.timestamp(1), Value.identifier("Read")))
