@@ -514,9 +514,9 @@ class EventColumns:
     """Events in a fixed order, dictionary-encoded one feature at a time.
 
     ``codes(i)`` gives feature ``i``'s distinct values and, per event, the
-    position of its value among them. Equal values written differently (1
-    and 1.0) may share a position: they decide every condition alike, and
-    each event keeps its own value. ``column(i)`` is the view ``MatchTable``
+    position of its value among them. A position stands for one literal:
+    equal values written differently (1 and 1.0, 0.0 and -0.0) get one
+    each. ``column(i)`` is the view ``MatchTable``
     reads: the values, and a function from one flag per value to the bitset
     of the events holding a flagged one, bit ``j`` for ``events[j]``.
     ``timestamps`` lists the events' timestamps when the events are in
@@ -557,15 +557,15 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __getitem__(self, j: int) -> Event:
-        return self.events[j]
-
     def codes(self, i: int) -> tuple:
         col = self._codes.get(i)
         if col is None:
-            index: dict = {}
-            codes = [index.setdefault(e.values[i], len(index)) for e in self.events]
-            col = self._codes[i] = (tuple(index), codes)
+            # a float goes with its repr: 1 and 1.0, 0.0 and -0.0 differ
+            index: dict = {}   # literal -> (code, its first value)
+            codes = [index.setdefault((v, repr(v.raw)) if v.raw.__class__ is float else v,
+                                      (len(index), v))[0]
+                     for v in (e.values[i] for e in self.events)]
+            col = self._codes[i] = (tuple(v for _, v in index.values()), codes)
         return col
 
     def column(self, i: int) -> tuple:

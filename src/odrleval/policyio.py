@@ -71,12 +71,23 @@ _ODRL_IRI_PREFIX = "http://www.w3.org/ns/odrl/2/"
 # SQL emission walk recursively, well inside Python's default recursion limit.
 MAX_NESTING_DEPTH = 100
 
+# The most characters of an input literal an error message quotes.
+QUOTED_CHARS = 500
+
+
+def _quoted(raw) -> str:
+    """``repr(raw)`` for an error message; past ``QUOTED_CHARS`` characters,
+    its first ``QUOTED_CHARS`` and its length."""
+    text = repr(raw)
+    return text if len(text) <= QUOTED_CHARS else (
+        f"{text[:QUOTED_CHARS]}... ({len(text)} characters)")
+
 
 def _require_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise DocumentError(
-            "unknown-field", f"unknown field(s) {unknown}; this profile rejects "
+            "unknown-field", f"unknown field(s) {_quoted(unknown)}; this profile rejects "
             f"fields it does not understand", where)
 
 
@@ -121,14 +132,14 @@ def parse_schema_document(doc: dict) -> FeatureSchema:
         if refines is not None:
             if not isinstance(refines, str) or refines not in names:
                 raise DocumentError(
-                    "bad-format", f"refines unknown feature {refines!r}", where)
+                    "bad-format", f"refines unknown feature {_quoted(refines)}", where)
             refines = names[refines]
         class_feature = obj.get("classFeature")
         if class_feature is not None:
             if not isinstance(class_feature, str) or class_feature not in names:
                 raise DocumentError(
                     "bad-format",
-                    f"classFeature names unknown feature {class_feature!r}", where)
+                    f"classFeature names unknown feature {_quoted(class_feature)}", where)
             class_feature = names[class_feature]
         classes = obj.get("classes")
         if classes is not None and not (
@@ -220,13 +231,13 @@ def _timestamp_ticks(raw, where: str) -> int:
             dt = datetime.fromisoformat(text)
         except ValueError as exc:
             raise DocumentError(
-                "unparsable-value", f"{text!r} is neither integer ticks nor ISO-8601",
+                "unparsable-value", f"{_quoted(text)} is neither integer ticks nor ISO-8601",
                 where) from exc
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp())
     raise DocumentError(
-        "unparsable-value", f"cannot read timestamp from {raw!r}", where)
+        "unparsable-value", f"cannot read timestamp from {_quoted(raw)}", where)
 
 
 def parse_value(raw, datatype: Datatype, where: str) -> Value:
@@ -247,7 +258,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
                     number = float(raw)
                 except ValueError as exc:
                     raise DocumentError(
-                        "unparsable-value", f"{raw!r} is not numeric", where) from exc
+                        "unparsable-value", f"{_quoted(raw)} is not numeric", where) from exc
         if isinstance(number, (int, float)) and abs(number) <= sys.float_info.max:
             return Value._trusted(ValueKind.NUMBER, number)
     if datatype is Datatype.STRING and isinstance(raw, str):
@@ -261,7 +272,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
             members = frozenset(m for m in raw.split("|") if m != "")
             return Value._trusted(ValueKind.IDENTIFIER_SET, members)
     raise DocumentError(
-        "unparsable-value", f"{raw!r} does not fit datatype {datatype.value}", where)
+        "unparsable-value", f"{_quoted(raw)} does not fit datatype {datatype.value}", where)
 
 
 def value_to_json(v: Value):
@@ -357,17 +368,12 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     cells = [cells[header.index(decl.name)] for decl in schema.features]
     columns = [(decl, _encode_column(column, decl))
                for decl, column in zip(schema.features, cells)]
-    first_bad = None
-    for decl, (values, codes) in columns:
-        bad = [code for code, v in enumerate(values) if v is None]
-        if bad:
-            position = codes.index(bad[0])   # the lowest code appears first
-            if first_bad is None or position < first_bad[0]:
-                first_bad = (position, decl)
-    if first_bad is not None:
-        position, decl = first_bad
-        _parse_cell(cells[decl.index][position].strip(), decl,
-                    row_numbers[position])   # raises: the cell does not parse
+    if any(v is None for _, (values, _) in columns for v in values):
+        for position, row in enumerate(zip(*(codes for _, (_, codes) in columns))):
+            for (decl, (values, _)), code in zip(columns, row):
+                if values[code] is None:
+                    _parse_cell(cells[decl.index][position].strip(), decl,
+                                row_numbers[position])   # raises: the cell does not parse
     if halt is not None:
         raise halt
     del cells
@@ -424,7 +430,7 @@ def _operator(name, where: str) -> Operator:
             raise DocumentError("unsupported-operator", _AND_SEQUENCE, where)
         if bare in _OPERATORS:
             return _OPERATORS[bare]
-    raise DocumentError("unsupported-operator", f"unknown operator {name!r}", where)
+    raise DocumentError("unsupported-operator", f"unknown operator {_quoted(name)}", where)
 
 
 def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
@@ -434,13 +440,13 @@ def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
         except KeyError:
             pass
     raise DocumentError(
-        "unknown-left-operand", f"{name!r} is not a declared feature", where)
+        "unknown-left-operand", f"{_quoted(name)} is not a declared feature", where)
 
 
 def _name(raw, where: str) -> str:
     if isinstance(raw, str):
         return raw
-    raise DocumentError("bad-format", f"expected an identifier, got {raw!r}", where)
+    raise DocumentError("bad-format", f"expected an identifier, got {_quoted(raw)}", where)
 
 
 def _set_operand(raw, op: Operator, member, where: str) -> Value:
@@ -498,7 +504,7 @@ def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
         if not isinstance(obj["const"], bool):
             raise DocumentError("bad-format", "const must be a JSON boolean", where)
         return Constant(obj["const"])
-    raise DocumentError("bad-format", f"unrecognized condition object {obj!r}", where)
+    raise DocumentError("bad-format", f"unrecognized condition object {_quoted(obj)}", where)
 
 
 def _condition_list(raw, where: str) -> list:
@@ -556,7 +562,7 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
     _require_keys(doc, allowed, "policy document")
     kind = doc.get("kind", "lite")
     if kind not in ("lite", "full"):
-        raise DocumentError("bad-format", f"must be 'lite' or 'full', not {kind!r}",
+        raise DocumentError("bad-format", f"must be 'lite' or 'full', not {_quoted(kind)}",
                             "kind")
 
     def rules(key: str) -> list:
@@ -592,7 +598,7 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
         hits = by_label.get(raw, [])
         if len(hits) != 1:
             raise DocumentError(
-                "dangling-duty", f"{raw!r} must name exactly one permission", where)
+                "dangling-duty", f"{_quoted(raw)} must name exactly one permission", where)
         return hits[0]
 
     pairs = {}
@@ -730,7 +736,7 @@ def _odrl_constraint(obj, schema, gamma, where: str) -> Condition:
     decl = _feature(schema, _odrl_id(obj.get("leftOperand"), where), where)
     if decl.gamma != gamma:
         raise DocumentError(
-            "unknown-left-operand", f"left operand {decl.name!r} does not belong "
+            "unknown-left-operand", f"left operand {_quoted(decl.name)} does not belong "
             f"to this placement (component mismatch)", where)
     op = _operator(obj.get("operator"), where)
     value = _odrl_right_operand(obj.get("rightOperand"), decl, op, where)
@@ -814,7 +820,7 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
     _require_keys(doc, _ODRL_POLICY_KEYS, "policy")
     ptype = doc.get("@type", "Set")
     if ptype not in _ODRL_TYPES:
-        raise DocumentError("bad-format", f"unsupported policy type {ptype!r}", "@type")
+        raise DocumentError("bad-format", f"unsupported policy type {_quoted(ptype)}", "@type")
     policy_parties = {k: doc[k] for k in ("assignee", "assigner") if k in doc}
 
     lite = {"permissions": [], "prohibitions": [], "obligations": []}

@@ -13,9 +13,8 @@ of witness rows.
 
 ``world_insert_sql`` loads a world with multi-row INSERT statements of at
 most 500 rows and 200,000 characters each, event rows first, then
-set-member rows. It encodes each
-distinct value of a feature once and reuses that text for every cell that
-holds the value.
+set-member rows. It writes the text of each code of the world's encoded
+view once, and reuses it for every cell that holds the code.
 """
 
 from __future__ import annotations
@@ -371,27 +370,22 @@ def world_insert_sql(world: World, schema: FeatureSchema) -> list:
     """INSERT statements materializing a world that conforms to the schema,
     events ordered and numbered deterministically: ``world_events`` rows in
     event order, then ``world_set_members`` rows in event, feature and member
-    order, at most 500 rows and 200,000 characters per statement. Each
-    distinct value of a feature is encoded once."""
-    events = conform_world(world, schema)
+    order, at most 500 rows and 200,000 characters per statement. A cell is
+    written once per code of the world's encoded view, on first use."""
+    conform_world(world, schema)
     cols = _columns(schema)
     names = ", ".join(["event_id"] + [_q(cols[d.index]) for d in schema.features])
     features = [_quote(cols[d.index]) for d in schema.features]
-    # per feature: raw value -> _cell_sql
-    codes = [{} for _ in features]
+    columns = [world._encoded.codes(d.index) for d in schema.features]
+    written = [[None] * len(values) for values, _ in columns]   # code -> _cell_sql
     rows = []
     members = []
-    for event_id, event in enumerate(events):
+    for event_id, row in enumerate(zip(*(codes for _, codes in columns))):
         cells = [str(event_id)]
-        for code, feature, v in zip(codes, features, event.values):
-            key = v.raw
-            if key.__class__ is float:
-                # 1 and 1.0, or 0.0 and -0.0, are equal keys whose
-                # literals differ
-                key = (key, repr(key))
-            sql = code.get(key)
+        for (values, _), feature, sql_of, code in zip(columns, features, written, row):
+            sql = sql_of[code]
             if sql is None:
-                sql = code[key] = _cell_sql(v, feature)
+                sql = sql_of[code] = _cell_sql(values[code], feature)
             cells.append(sql[0])
             for tail in sql[1]:
                 members.append(f"({event_id}, {tail})")

@@ -618,6 +618,22 @@ def test_json_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
         assert error["error"] == "unparsable-value"
 
 
+def test_error_quotes_a_long_right_operand_by_its_head_and_length(capsys, tmp_path):
+    from odrleval.policyio import QUOTED_CHARS
+    text = (DEMO / "policy.json").read_text()
+    pfile = tmp_path / "policy.json"
+    operand = json.dumps("9" * 5000)
+    pfile.write_text(text.replace('"rightOperand": 250', f'"rightOperand": {operand}', 1))
+    code, out, err = run(capsys, "check", "--policy", str(pfile),
+                         "--schema", str(DEMO / "schema.json"))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "unparsable-value"
+    assert error["message"].endswith(
+        f"'{'9' * (QUOTED_CHARS - 1)}... (5002 characters) does not fit datatype numeric")
+    assert len(error["message"]) < QUOTED_CHARS + 200
+
+
 def test_canonical_or_xor_const_through_the_cli(capsys, tmp_path):
     from odrleval import LitePolicy
     from odrleval.policyio import parse_policy_document, parse_schema_document

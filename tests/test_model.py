@@ -29,7 +29,7 @@ from odrleval import (
     feature_component,
     validate_schema,
 )
-from conftest import ACTOR, ASSET, make_event, make_schema, eq, ts, under_hash_seeds
+from conftest import ACTOR, ASSET, PAGES, make_event, make_schema, eq, ts, under_hash_seeds
 
 
 def test_demo_schema_is_valid(schema):
@@ -501,6 +501,19 @@ def test_world_view_takes_no_part_in_equality_repr_or_pickling():
     copy = pickle.loads(pickle.dumps(world))
     assert "_encoded" not in vars(copy) and copy == world
     assert copy.ordered() == world.ordered()
+
+
+def test_world_view_gives_each_numeric_literal_its_own_code():
+    # 1 and 1.0, 0.0 and -0.0 are equal values written differently: each
+    # literal gets a code, and the column lists it as it was written.
+    schema = make_schema()
+    pages = (1, 1.0, 0.0, -0.0, 1.0, -0.0, 1, 0.0)
+    world = World.of((make_event(t, "Read", "Bob", "Book", pages=x)
+                      for t, x in enumerate(pages)), schema)
+    values, codes = world._encoded.codes(PAGES)
+    assert [repr(v.raw) for v in values] == ["1", "1.0", "0.0", "-0.0"]
+    assert codes == [0, 1, 2, 3, 1, 3, 0, 2]
+    assert [repr(values[c].raw) for c in codes] == list(map(repr, pages))
 
 
 def test_expander_matches_the_string_join():

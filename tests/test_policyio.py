@@ -162,6 +162,21 @@ def test_world_non_finite_number_rejected(schema, cell):
                               f"not fit datatype numeric")
 
 
+@pytest.mark.parametrize("column, cell, reason", [
+    ("Datetime", "x" * 100_000, "is neither integer ticks nor ISO-8601"),
+    ("Print.Resolution", "9" * 5000, "does not fit datatype numeric")])
+def test_world_error_quotes_a_long_cell_by_its_head_and_length(schema, column, cell, reason):
+    from odrleval.policyio import QUOTED_CHARS
+    row = {"Datetime": f"{cell},Print,Alice,Picture,null,null",
+           "Print.Resolution": f"1,Print,Alice,Picture,{cell},null"}[column]
+    with pytest.raises(DocumentError) as err:
+        parse_world_text(_log(row), schema)
+    assert err.value.kind == "unparsable-value"
+    head = repr(cell)[:QUOTED_CHARS]
+    assert str(err.value) == (f"row 0, column {column}: {head}... "
+                              f"({len(cell) + 2} characters) {reason}")
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999", "-" + "9" * 400])
 def test_policy_non_finite_constant_rejected(schema, token):
     constant = json.loads(token)
@@ -350,8 +365,9 @@ def test_world_bad_column_is_located_in_linear_time(schema):
 
 
 def test_world_column_codes_are_numbered_in_order_of_first_appearance(schema):
-    # The parser finds a column's first bad row with one scan for its lowest
-    # bad code, which holds only if code k first appears before code k + 1.
+    # Code k first appears before code k + 1, so a column's codes follow its
+    # cells alone. The parser finds its first bad cell by walking the rows,
+    # which needs no order of codes.
     from odrleval.policyio import _encode_column
     pages = schema.features[PAGES]
     cells = ("x9", " 7", "null", "7", "x1", "7.0", "x9", " x1 ", "3")

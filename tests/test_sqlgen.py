@@ -733,6 +733,22 @@ def test_world_insert_sql_writes_each_numbers_own_literal():
                     for t, x in enumerate(amounts)]
 
 
+def test_world_insert_sql_agrees_on_parsed_and_built_worlds(schema):
+    """A parsed world's view has a code per cell text, a world built from
+    events a code per literal: both load the same rows."""
+    golden = (Path(__file__).parent / "golden" / "full-world.csv").read_text()
+    mixed = ("Datetime,Action,Actor,Asset,Print.Resolution,Book.Pages\n"
+             + "".join(f"{t},Read,Bob,Book,{x},{y}\n" for t, (x, y) in enumerate(
+                 (("1", "-0.0"), ("1.0", "0"), ("-0.0", "0.0"), ("01", "1.0"),
+                  (" 1 ", "null"), ("0.0", "-0.0"), ("1.0", "1")))))
+    for text in (golden, mixed):
+        world = parse_world_text(text, schema)
+        statements = world_insert_sql(world, schema)
+        assert statements == world_insert_sql(World.of(world.ordered(), schema), schema)
+    assert "(0, 0, 'Read', 'Bob', 'Book', 1, -0.0)" in statements[0]
+    assert "(4, 4, 'Read', 'Bob', 'Book', 1, NULL)" in statements[0]
+
+
 def test_world_insert_sql_writes_at_most_500_rows_per_statement(schema, world):
     extreme = extreme_schema()
     big = chunk_world(1201, Random(1))
