@@ -65,6 +65,7 @@ from .model import (
     Policy,
     SET_OPERATORS,
     STRING_KINDS,
+    SimpleCondition,
     TIMESTAMP_FEATURE,
     Value,
     ValueKind,
@@ -103,8 +104,10 @@ class WitnessDomain:
 
         leaves = [c for rule in rules for cond in rule.conditions
                   for c in simple_conditions_of(cond)]
-        # an isA's class test on its class feature is one more leaf
-        leaves += filter(None, (class_condition(c, schema) for c in leaves))
+        # an isA's class test on its class feature is one more leaf; a
+        # static class test is a constant and reads no feature
+        leaves += [cc for c in leaves
+                   if isinstance(cc := class_condition(c, schema), SimpleCondition)]
         for sc in leaves:
             i = sc.feature
             decl = schema.declaration(i)

@@ -10,10 +10,11 @@ complement.
 ``operator.eq/ne/gt/ge/lt/le`` on the raw values, false unless both kinds
 agree and an order operator meets an ordered kind (timestamps, numbers
 across int/float, text by codepoint); a set operator is ``ge/le/eq`` on
-member sets. An ``isA`` on a feature with a class feature is "value
-present" and the ``hasPart`` test ``class_condition`` gives on the class
-feature; every route (per event, match table, SQL, witness domain) reads
-that class test through ``class_condition``.
+member sets. An ``isA`` is "value present" and the class test
+``class_condition`` gives: the ``hasPart`` test on the feature's class
+feature, or a constant for its static classes; every route (per event,
+match table, SQL, witness domain) reads that class test through
+``class_condition``.
 """
 
 from __future__ import annotations
@@ -45,27 +46,32 @@ _SET = {Operator.HAS_PART: operator.ge, Operator.IS_PART_OF: operator.le,
         Operator.IS_ALL_OF: operator.eq}
 
 
-def class_condition(c: SimpleCondition, s: FeatureSchema) -> SimpleCondition | None:
-    """The class test of an ``isA`` on a feature with a class feature:
-    ``<class feature, hasPart, members>``. None for any other condition,
-    which reads its own feature only. Built once per condition and schema:
-    the result is kept in ``s.class_conditions``."""
+def class_condition(c: SimpleCondition, s: FeatureSchema) -> Condition | None:
+    """The class test of an ``isA``: ``<class feature, hasPart, members>``
+    when its feature has a class feature, else the constant "the feature's
+    static classes include the members", false when it declares none. None
+    for any other condition, which reads its own feature only. Built once
+    per condition and schema: the result is kept in ``s.class_conditions``."""
     if c.op is not Operator.IS_A:
         return None
     memo = s.class_conditions
     try:
         return memo[c]
     except KeyError:
-        cf = s.declaration(c.feature).class_feature
-        cc = memo[c] = None if cf is None else SimpleCondition(
-            cf, Operator.HAS_PART, Value.identifier_set(c.members))
+        decl = s.declaration(c.feature)
+        if decl.class_feature is None:
+            cc = Constant(decl.classes is not None and decl.classes >= c.members)
+        else:
+            cc = SimpleCondition(decl.class_feature, Operator.HAS_PART,
+                                 Value.identifier_set(c.members))
+        memo[c] = cc
         return cc
 
 
 def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
     """The part of ``eval_simple`` that reads the condition's own feature,
-    with value ``v``. For an ``isA`` with a class feature this only asks
-    that the value is present; ``class_condition`` is its class test."""
+    with value ``v``. For an ``isA`` this only asks that the value is
+    present; ``class_condition`` is its class test."""
     if v.is_null:
         return False
 
@@ -88,11 +94,7 @@ def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
         hit = v.raw in c.value.raw
         return hit if c.op is Operator.IS_ANY_OF else not hit
 
-    # <i, isA, v> is evaluated as <i_c, hasPart, {v}> over i's class set.
-    decl = s.declaration(c.feature)
-    if decl.class_feature is not None:
-        return True
-    return decl.classes is not None and decl.classes >= c.members
+    return True   # isA: the value is present
 
 
 def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
@@ -102,7 +104,7 @@ def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
     class information for ``isA`` is unavailable.
     """
     cc = class_condition(c, s)
-    return eval_value(c, e.value(c.feature), s) and (cc is None or eval_simple(cc, e, s))
+    return eval_value(c, e.value(c.feature), s) and (cc is None or eval_complex(cc, e, s))
 
 
 def eval_complex(c: Condition, e: Event, s: FeatureSchema) -> bool:

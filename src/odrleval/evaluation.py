@@ -101,9 +101,10 @@ def evaluate_lite(p: LitePolicy, w: World, s: FeatureSchema) -> ViolationReport:
 
 def evaluate_full(p: FullPolicy, w: World, s: FeatureSchema) -> ViolationReport:
     """Evaluate the lite clauses plus duties, remedies and consequences."""
-    events = conform_world(w, s)
+    view = conform_world(w, s)
     require_well_formed(p.all_rules(), s)
-    table = MatchTable(w._encoded, s)   # bit j stands for events[j]
+    events = view.events
+    table = MatchTable(view, s)   # bit j stands for events[j]
     findings = []
 
     # Permissions: an event no permission matches is a violation; with an

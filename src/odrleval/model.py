@@ -451,19 +451,6 @@ _set_values, _set_event_hash = Event.values.__set__, Event._hash.__set__
 _value_hash = operator.attrgetter("_hash")
 
 
-def conform_event(event: Event, schema: FeatureSchema) -> None:
-    """Raise WorldConformanceError unless ``event`` fits ``schema``."""
-    kinds = schema.value_kinds
-    if len(event.values) != len(kinds):
-        raise WorldConformanceError(
-            f"event arity {len(event.values)} does not match schema arity {len(kinds)}")
-    for decl, v, kind in zip(schema.features, event.values, kinds):
-        if v.kind is not kind and v.kind is not ValueKind.NULL:
-            raise WorldConformanceError(
-                f"feature {decl.index} ({decl.name}) expects {decl.datatype.value}, "
-                f"event carries {v.kind.value}")
-
-
 @dataclass(frozen=True)
 class World:
     """A finite set of events; duplicates by value collapse.
@@ -604,13 +591,22 @@ def expander(codes) -> Callable:
     return expand
 
 
-def conform_world(world: World, schema: FeatureSchema) -> tuple:
-    """``world.ordered()``, once every event in it fits ``schema``; else
-    WorldConformanceError naming the first misfit in that order."""
-    events = world.ordered()
-    for e in events:
-        conform_event(e, schema)
-    return events
+def conform_world(world: World, schema: FeatureSchema) -> EventColumns:
+    """The world's view, its events in ``world.ordered()`` order encoded as
+    columns, once every event fits ``schema``; else WorldConformanceError
+    naming the first misfit in that order."""
+    view = world._encoded
+    kinds = schema.value_kinds
+    for e in view.events:
+        if len(e.values) != len(kinds):
+            raise WorldConformanceError(
+                f"event arity {len(e.values)} does not match schema arity {len(kinds)}")
+        for decl, v, kind in zip(schema.features, e.values, kinds):
+            if v.kind is not kind and v.kind is not ValueKind.NULL:
+                raise WorldConformanceError(
+                    f"feature {decl.index} ({decl.name}) expects {decl.datatype.value}, "
+                    f"event carries {v.kind.value}")
+    return view
 
 
 # ---------------------------------------------------------------------------

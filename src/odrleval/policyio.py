@@ -287,31 +287,25 @@ def value_to_json(v: Value):
 # World documents (delimiter-separated text)
 # ---------------------------------------------------------------------------
 
-def _parse_cell(cell: str, decl: FeatureDecl, row_index: int) -> Value:
-    where = f"row {row_index}, column {decl.name}"
-    if cell == "null":
-        # only the timestamp and action columns get here: every event has both
-        raise DocumentError("unparsable-value", f"{decl.name} may not be null", where)
-    return parse_value(cell, decl.datatype, where)
-
-
 def _encode_column(cells: tuple, decl: FeatureDecl) -> tuple:
     """One column's distinct stripped texts, each parsed once, and one code
     per cell: ``(values, codes)``, where ``values[codes[j]]`` is row ``j``'s
-    value, or None when its cell does not parse. Codes are numbered in the
-    order their texts first appear, so code ``k`` first appears before code
-    ``k + 1``."""
+    value, or the DocumentError its cell raised, with no location yet. Codes
+    are numbered in the order their texts first appear, so code ``k`` first
+    appears before code ``k + 1``."""
     distinct = dict.fromkeys(cells)
     texts = list(map(str.strip, distinct))
-    parsed: dict = {}   # stripped text -> value, or None
+    parsed: dict = {}   # stripped text -> value, or its error
     for text in dict.fromkeys(texts):
         if text == "null":
-            parsed[text] = None if decl.index in NON_NULL_FEATURES else NULL
+            # every event has a timestamp and an action
+            parsed[text] = NULL if decl.index not in NON_NULL_FEATURES else DocumentError(
+                "unparsable-value", f"{decl.name} may not be null")
             continue
         try:
-            parsed[text] = parse_value(text, decl.datatype, "")
-        except DocumentError:
-            parsed[text] = None
+            parsed[text] = parse_value(text, decl.datatype, None)
+        except DocumentError as exc:
+            parsed[text] = exc
     code = dict(zip(parsed, range(len(parsed))))
     cell_code = dict(zip(distinct, map(code.__getitem__, texts)))
     return tuple(parsed.values()), list(map(cell_code.__getitem__, cells))
@@ -368,15 +362,15 @@ def parse_world_text(text: str, schema: FeatureSchema) -> World:
     cells = [cells[header.index(decl.name)] for decl in schema.features]
     columns = [(decl, _encode_column(column, decl))
                for decl, column in zip(schema.features, cells)]
-    if any(v is None for _, (values, _) in columns for v in values):
+    del cells
+    if any(isinstance(v, DocumentError) for _, (values, _) in columns for v in values):
         for position, row in enumerate(zip(*(codes for _, (_, codes) in columns))):
             for (decl, (values, _)), code in zip(columns, row):
-                if values[code] is None:
-                    _parse_cell(cells[decl.index][position].strip(), decl,
-                                row_numbers[position])   # raises: the cell does not parse
+                if isinstance(values[code], DocumentError):
+                    values[code].location = f"row {row_numbers[position]}, column {decl.name}"
+                    raise values[code]
     if halt is not None:
         raise halt
-    del cells
 
     # Each cell was read with its column's datatype, so the events conform.
     events = list(map(Event._trusted, zip(

@@ -192,7 +192,7 @@ class _Compiler:
         present = f"{col} IS NOT NULL"
 
         if c.op is Operator.IS_A:
-            return self._is_a(c, present, alias)
+            return f"({present} AND {self.condition(class_condition(c, self.schema), alias)})"
 
         if c.op in SET_OPERATORS:
             if kind is not ValueKind.IDENTIFIER_SET:
@@ -222,15 +222,6 @@ class _Compiler:
                 c.op in ORDER_OPERATORS and kind not in ORDERED_KINDS):
             return _FALSE
         return f"({present} AND {col} {_SCALAR_SQL_OP[c.op]} {_literal(c.value)})"
-
-    def _is_a(self, c: SimpleCondition, present: str, alias: str) -> str:
-        cc = class_condition(c, self.schema)
-        if cc is not None:
-            return f"({present} AND {self.simple(cc, alias)})"
-        classes = self.schema.declaration(c.feature).classes
-        if classes is not None:
-            return f"({present} AND {_TRUE if classes >= c.members else _FALSE})"
-        return _FALSE
 
     @staticmethod
     def _member_exists(alias: str, feature_lit: str, member: str) -> str:
@@ -372,11 +363,11 @@ def world_insert_sql(world: World, schema: FeatureSchema) -> list:
     event order, then ``world_set_members`` rows in event, feature and member
     order, at most 500 rows and 200,000 characters per statement. A cell is
     written once per code of the world's encoded view, on first use."""
-    conform_world(world, schema)
+    view = conform_world(world, schema)
     cols = _columns(schema)
     names = ", ".join(["event_id"] + [_q(cols[d.index]) for d in schema.features])
     features = [_quote(cols[d.index]) for d in schema.features]
-    columns = [world._encoded.codes(d.index) for d in schema.features]
+    columns = [view.codes(d.index) for d in schema.features]
     written = [[None] * len(values) for values, _ in columns]   # code -> _cell_sql
     rows = []
     members = []

@@ -519,13 +519,14 @@ def test_evaluate_full_flag_on_lite_document(capsys, tmp_path):
 
 def test_each_event_is_conformed_once(capsys, monkeypatch):
     # parse_world_text reads every cell with its column's datatype, so only
-    # evaluate_full checks conformance, once per event.
-    from odrleval import model
+    # evaluate_full checks conformance, once per world.
+    from odrleval import evaluation, model
     from odrleval.policyio import parse_schema_document, parse_world_text
     calls = []
-    check = model.conform_event
-    monkeypatch.setattr(model, "conform_event",
-                        lambda event, schema: calls.append(event) or check(event, schema))
+    check = model.conform_world
+    for module in (model, evaluation):
+        monkeypatch.setattr(module, "conform_world",
+                            lambda world, schema: calls.append(world) or check(world, schema))
     schema = parse_schema_document(json.loads((DEMO / "schema.json").read_text()))
     world = parse_world_text((DEMO / "world.csv").read_text(), schema)
     assert calls == []
@@ -533,7 +534,7 @@ def test_each_event_is_conformed_once(capsys, monkeypatch):
                      "--world", str(DEMO / "world.csv"),
                      "--schema", str(DEMO / "schema.json"))
     assert code == 1
-    assert sorted(calls, key=model.Event.sort_key) == list(world.ordered())
+    assert calls == [world]
 
 
 def test_each_rule_is_gated_once_per_call(capsys, monkeypatch):

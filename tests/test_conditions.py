@@ -280,16 +280,18 @@ def test_class_condition_is_built_once_per_condition_and_schema():
     # an equal condition built anew finds the same class test
     assert class_condition(
         SimpleCondition(3, Operator.IS_A, Value.identifier("Novel")), s) is cc
-    # a static class set and a non-isA condition read their own feature only
+    # a static class set is a constant class test; a non-isA condition reads
+    # its own feature only
     assert class_condition(SimpleCondition(2, Operator.IS_A, Value.identifier("Person")),
-                           s) is None
+                           s) == Constant(True)
     assert class_condition(SimpleCondition(3, Operator.EQ, Value.identifier("Novel")),
                            s) is None
     # every event evaluates against the one class test
     for classes in ({"Novel"}, {"Text"}, None):
         eval_simple(is_novel, set_event(asset_classes=classes), s)
     assert s.class_conditions == {
-        is_novel: cc, SimpleCondition(2, Operator.IS_A, Value.identifier("Person")): None}
+        is_novel: cc,
+        SimpleCondition(2, Operator.IS_A, Value.identifier("Person")): Constant(True)}
 
 
 def test_is_a_without_any_class_source():

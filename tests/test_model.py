@@ -174,7 +174,7 @@ def test_conform_world_returns_the_order_it_checked(schema):
     from odrleval.model import conform_world
     world = World.of(make_event(t, action, "Alice", "Book")
                      for t in (3, 1, 2, 1) for action in ("Read", "Print"))
-    assert conform_world(world, schema) == world.ordered()
+    assert conform_world(world, schema).events == world.ordered()
     assert [e.timestamp for e in world.ordered()] == [1, 1, 2, 2, 3, 3]
 
 

@@ -374,8 +374,8 @@ def test_world_column_codes_are_numbered_in_order_of_first_appearance(schema):
     values, codes = _encode_column(cells, pages)
     firsts = [codes.index(k) for k in range(len(values))]
     assert firsts == sorted(firsts) and sorted(set(codes)) == list(range(len(values)))
-    assert [values[k] is None for k in codes] == [True, False, False, False, True,
-                                                  False, True, True, False]
+    assert [isinstance(values[k], DocumentError) for k in codes] == [
+        True, False, False, False, True, False, True, True, False]
     assert codes[1] == codes[3] and codes[4] == codes[7]   # one code per stripped text
 
 
