@@ -267,8 +267,8 @@ class MatchTable:
     def _simple(self, c: SimpleCondition) -> int:
         """``eval_simple`` over a column: ``=``, ``isAnyOf`` and the order
         operators by bisection in the sorted run of the constant's kind, any
-        other operator by one value test per column value. An ``isA`` with a
-        class feature is ANDed with the match set of its ``class_condition``."""
+        other operator by one value test per column value. An ``isA`` is
+        ANDed with the match set of its ``class_condition``."""
         i, op, constant = c.feature, c.op, c.value
         if op is Operator.EQ:
             m = self._flagged(i, self._positions(i, constant))

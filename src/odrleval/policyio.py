@@ -77,8 +77,14 @@ QUOTED_CHARS = 500
 
 def _quoted(raw) -> str:
     """``repr(raw)`` for an error message; past ``QUOTED_CHARS`` characters,
-    its first ``QUOTED_CHARS`` and its length."""
-    text = repr(raw)
+    its first ``QUOTED_CHARS`` and its length. A literal ``repr`` refuses,
+    an int past the interpreter's digit limit alone or inside a list or
+    object, is named by its type and size."""
+    try:
+        text = repr(raw)
+    except ValueError:
+        size = f"{raw.bit_length()} bits" if isinstance(raw, int) else f"length {len(raw)}"
+        return f"<{type(raw).__name__} of {size}>"
     return text if len(text) <= QUOTED_CHARS else (
         f"{text[:QUOTED_CHARS]}... ({len(text)} characters)")
 

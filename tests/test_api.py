@@ -171,3 +171,21 @@ def test_world_order_has_one_owner():
                     or (imports_bisect and path.stem != "matching")):
                 offending.append(f"{path.name}:{node.lineno}")
     assert offending == []
+
+
+def test_class_test_and_world_view_have_one_owner():
+    # conditions.class_condition alone turns a declaration's classes or class
+    # feature into an isA's class test (model declares them, policyio reads
+    # and writes schema documents); model alone reads a world's encoded view,
+    # which any other module takes from conform_world.
+    src = Path(odrleval.__file__).parent
+    owners = {"classes": ("model", "policyio", "conditions"),
+              "class_feature": ("model", "policyio", "conditions"),
+              "_encoded": ("model",)}
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in owners
+                    and path.stem not in owners[node.attr]):
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []

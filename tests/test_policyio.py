@@ -177,6 +177,33 @@ def test_world_error_quotes_a_long_cell_by_its_head_and_length(schema, column, c
                               f"({len(cell) + 2} characters) {reason}")
 
 
+# An int past CPython's int-to-str digit limit, which repr refuses even
+# inside a list; JSON text cannot carry one, but a document built in Python can.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("raw, datatype, quoted", [
+    (HUGE, Datatype.NUMERIC, "<int of 16610 bits>"),
+    (HUGE, Datatype.STRING, "<int of 16610 bits>"),
+    (HUGE, Datatype.IDENTIFIER, "<int of 16610 bits>"),
+    ([HUGE], Datatype.IDENTIFIER_SET, "<list of length 1>")],
+    ids=["numeric", "string", "identifier", "identifier-set"])
+def test_value_error_quotes_an_int_past_the_digit_limit_by_its_size(raw, datatype, quoted):
+    with pytest.raises(DocumentError) as err:
+        parse_value(raw, datatype, "x")
+    assert err.value.kind == "unparsable-value"
+    assert str(err.value) == f"x: {quoted} does not fit datatype {datatype.value}"
+
+
+def test_policy_error_quotes_a_feature_past_the_digit_limit_by_its_size(schema):
+    doc = {"format": "policy/1", "kind": "lite", "permissions": [
+        {"label": "x", "conditions": [{"feature": HUGE, "op": "eq", "value": "Print"}]}]}
+    with pytest.raises(DocumentError) as err:
+        parse_policy_document(doc, schema)
+    assert err.value.kind == "unknown-left-operand"
+    assert str(err.value).endswith(": <int of 16610 bits> is not a declared feature")
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999", "-" + "9" * 400])
 def test_policy_non_finite_constant_rejected(schema, token):
     constant = json.loads(token)

@@ -144,6 +144,29 @@ def test_identifier_order_comparison_compiles_to_false():
     assert report.by_clause(Clause.PROHIBITIONS) == ()
 
 
+def test_is_a_on_exactly_the_declared_class_holds_on_every_route():
+    # A feature that declares exactly the one class an isA names: its
+    # classes equal the isA's members, so the class test holds, and only a
+    # null value makes the isA false.
+    from odrleval import eval_simple
+    from odrleval.matching import MatchTable
+    from odrleval.model import conform_world
+    from odrleval.policyio import parse_schema_document
+    s = parse_schema_document({"format": "feature-schema/1", "features": [
+        {"index": 0, "name": "Datetime", "datatype": "timestamp", "component": "rule"},
+        {"index": 1, "name": "Action", "datatype": "identifier", "component": "action"},
+        {"index": 2, "name": "Kind", "datatype": "identifier", "component": "rule",
+         "classes": ["Book"]}]})
+    is_book = SimpleCondition(2, Operator.IS_A, Value.identifier("Book"))
+    world = parse_world_text("Datetime,Action,Kind\n1,Read,Novel\n2,Read,null\n", s)
+    present, null = world.ordered()
+    assert [eval_simple(is_book, e, s) for e in (present, null)] == [True, False]
+    assert MatchTable(conform_world(world, s), s).condition(is_book) == 0b01
+    policy = LitePolicy.of((), {EventRule.of(eq(ACTION, "Read"), is_book)})
+    results = run_clauses(emit_violation_queries(policy, s), world, s)
+    assert clause_events(results["prohibitions-violation"], world) == {present}
+
+
 def test_sanitize_names():
     assert sanitize_name("Book.Pages") == "book_pages"
     assert sanitize_name("Print.Resolution") == "print_resolution"
