@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .conditions import class_condition, negate
@@ -244,6 +245,8 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
     elif datatype is Datatype.NUMERIC:
         # Each region takes its first candidate strictly inside: float
         # arithmetic alone can land on a bound past 2**53 or between floats.
+        # A candidate past ±max float is no number, and the region beyond a
+        # constant at that bound holds none.
         lo, hi = constants[0], constants[-1]
         regions = [(-math.inf, lo, (lo - 1, math.floor(lo) - 1)),
                    (hi, math.inf, (hi + 1, math.ceil(hi) + 1))]
@@ -251,7 +254,8 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
                             math.nextafter(a, b)))
                     for a, b in zip(constants, constants[1:])]
         for a, b, xs in regions:
-            raws.extend(itertools.islice((x for x in xs if a < x < b), 1))
+            raws.extend(itertools.islice(
+                (x for x in xs if a < x < b and abs(x) <= sys.float_info.max), 1))
     else:  # STRING: codepoint order; the successor of s is s + chr(0)
         if constants[0] > "":
             raws.append("")

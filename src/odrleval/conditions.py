@@ -15,6 +15,10 @@ member sets. An ``isA`` is "value present" and the class test
 feature, or a constant for its static classes; every route (per event,
 match table, SQL, witness domain) reads that class test through
 ``class_condition``.
+
+A node's operands are its ``parts``, owned by ``model``: the walkers here
+read them there, rebuild a node with ``with_parts``, and dispatch on a
+node's type only where its meaning matters.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def class_condition(c: SimpleCondition, s: FeatureSchema) -> Condition | None:
         return cc
 
 
-def eval_value(c: SimpleCondition, v: Value, s: FeatureSchema) -> bool:
+def eval_value(c: SimpleCondition, v: Value) -> bool:
     """The part of ``eval_simple`` that reads the condition's own feature,
     with value ``v``. For an ``isA`` this only asks that the value is
     present; ``class_condition`` is its class test."""
@@ -104,7 +108,7 @@ def eval_simple(c: SimpleCondition, e: Event, s: FeatureSchema) -> bool:
     class information for ``isA`` is unavailable.
     """
     cc = class_condition(c, s)
-    return eval_value(c, e.value(c.feature), s) and (cc is None or eval_complex(cc, e, s))
+    return eval_value(c, e.value(c.feature)) and (cc is None or eval_complex(cc, e, s))
 
 
 def eval_complex(c: Condition, e: Event, s: FeatureSchema) -> bool:
@@ -117,9 +121,9 @@ def eval_complex(c: Condition, e: Event, s: FeatureSchema) -> bool:
     if isinstance(c, Or):
         return any(eval_complex(p, e, s) for p in c.parts)
     if isinstance(c, Not):
-        return not eval_complex(c.part, e, s)
+        return not eval_complex(c.parts[0], e, s)
     if isinstance(c, Xor):
-        return eval_complex(c.left, e, s) != eval_complex(c.right, e, s)
+        return eval_complex(c.parts[0], e, s) != eval_complex(c.parts[1], e, s)
     if isinstance(c, Constant):
         return c.truth
     raise AssertionError(f"unknown condition node {c!r}")
@@ -130,27 +134,17 @@ def desugar_xor(c: Condition) -> Condition:
 
     Returns the input object itself when nothing needed rewriting.
     """
-    if isinstance(c, (SimpleCondition, Constant)):
-        return c
+    parts = tuple(map(desugar_xor, c.parts))
     if isinstance(c, Xor):
-        left = desugar_xor(c.left)
-        right = desugar_xor(c.right)
-        return Or((And((left, Not(right))), And((Not(left), right))))
-    if isinstance(c, Not):
-        part = desugar_xor(c.part)
-        return c if part is c.part else Not(part)
-    if isinstance(c, (And, Or)):
-        parts = tuple(desugar_xor(p) for p in c.parts)
-        if all(p is q for p, q in zip(parts, c.parts)):
-            return c
-        return type(c)(parts)
-    raise AssertionError(f"unknown condition node {c!r}")
+        a, b = parts
+        return Or((And((a, Not(b))), And((Not(a), b))))
+    return c.with_parts(parts)
 
 
 def negate(c: Condition) -> Condition:
     """Complement of a condition, with double negations collapsed."""
     if isinstance(c, Not):
-        return c.part
+        return c.parts[0]
     if isinstance(c, Constant):
         return Constant(not c.truth)
     return Not(c)
@@ -159,37 +153,22 @@ def negate(c: Condition) -> Condition:
 def simplify(c: Condition) -> Condition:
     """Fold truth constants out of a condition tree.
 
-    The result contains a Constant node only when the whole tree is constant.
+    The result contains a Constant node only when the whole tree is constant,
+    and is the input object itself when nothing folded.
     """
-    if isinstance(c, (SimpleCondition, Constant)):
-        return c
-    if isinstance(c, Not):
-        part = simplify(c.part)
-        if isinstance(part, Constant):
-            return Constant(not part.truth)
-        return c if part is c.part else Not(part)
-    if isinstance(c, Xor):
-        left, right = simplify(c.left), simplify(c.right)
-        if isinstance(left, Constant) and isinstance(right, Constant):
-            return Constant(left.truth != right.truth)
-        if isinstance(left, Constant):
-            return right if left.truth is False else negate(right)
-        if isinstance(right, Constant):
-            return left if right.truth is False else negate(left)
-        return c if (left is c.left and right is c.right) else Xor(left, right)
+    parts = tuple(map(simplify, c.parts))
     if isinstance(c, (And, Or)):
         absorbing = isinstance(c, Or)  # Or absorbs True, And absorbs False
-        parts = []
-        for p in c.parts:
-            p = simplify(p)
-            if isinstance(p, Constant):
-                if p.truth is absorbing:
-                    return Constant(absorbing)
-                continue  # neutral element, drop
-            parts.append(p)
-        if not parts:
-            return Constant(not absorbing)
-        if len(parts) == 1:
-            return parts[0]
-        return type(c)(tuple(parts))
-    raise AssertionError(f"unknown condition node {c!r}")
+        if Constant(absorbing) in parts:
+            return Constant(absorbing)
+        parts = tuple(p for p in parts if not isinstance(p, Constant))  # neutral
+        if len(parts) < 2:
+            return parts[0] if parts else Constant(not absorbing)
+    elif isinstance(c, Not) and isinstance(parts[0], Constant):
+        return negate(parts[0])
+    elif isinstance(c, Xor):
+        # b is the constant operand, if either is one
+        a, b = parts if isinstance(parts[1], Constant) else parts[::-1]
+        if isinstance(b, Constant):
+            return negate(a) if b.truth else a
+    return c.with_parts(parts)

@@ -169,17 +169,11 @@ def _blank_deadlines(c: Condition, positive: bool | None) -> Condition:
     ``positive`` is None inside exclusive-or, where polarity is mixed."""
     if is_deadline(c):
         return Constant(True) if positive is True else c
-    if isinstance(c, (SimpleCondition, Constant)):
-        return c
-    if isinstance(c, (And, Or)):
-        return type(c)(tuple(_blank_deadlines(p, positive) for p in c.parts))
-    if isinstance(c, Not):
-        flipped = None if positive is None else not positive
-        return Not(_blank_deadlines(c.part, flipped))
-    if isinstance(c, Xor):
-        return Xor(_blank_deadlines(c.left, None),
-                   _blank_deadlines(c.right, None))
-    raise AssertionError(f"unknown condition node {c!r}")
+    if isinstance(c, Not) and positive is not None:
+        positive = not positive
+    elif isinstance(c, Xor):
+        positive = None
+    return c.with_parts(tuple(_blank_deadlines(p, positive) for p in c.parts))
 
 
 def softmatch(rule: EventRule, e: Event, schema: FeatureSchema) -> bool:
@@ -292,7 +286,7 @@ class MatchTable:
                 m = 0   # an order test on an unordered kind is false
         else:
             m = self._flagged(i, [p for p, v in enumerate(self._column(i)[0])
-                                  if eval_value(c, v, self.schema)])
+                                  if eval_value(c, v)])
         cc = class_condition(c, self.schema)
         return m if cc is None else m & self.condition(cc)
 
@@ -310,9 +304,9 @@ class MatchTable:
         if isinstance(c, Or):
             return reduce(operator.or_, map(self.condition, c.parts), 0)
         if isinstance(c, Not):
-            return self.all ^ self.condition(c.part)
+            return self.all ^ self.condition(c.parts[0])
         if isinstance(c, Xor):
-            return self.condition(c.left) ^ self.condition(c.right)
+            return reduce(operator.xor, map(self.condition, c.parts))
         if isinstance(c, Constant):
             return self.all if c.truth else 0
         raise AssertionError(f"unknown condition node {c!r}")

@@ -643,9 +643,18 @@ _SCALAR_SYMBOL = {
 
 class Condition:
     """Base class; a condition is a simple comparison triple or a boolean
-    combination of conditions."""
+    combination of conditions. A node's operands, in order, are its
+    ``parts``, empty for a leaf, and ``with_parts`` rebuilds it over new
+    ones: code outside this module reads a tree's shape through these two."""
 
     __slots__ = ()
+
+    def with_parts(self, parts: tuple) -> "Condition":
+        """This node over ``parts`` in place of its operands; the node itself
+        when each new operand is the one it holds."""
+        if len(parts) == len(self.parts) and all(map(operator.is_, parts, self.parts)):
+            return self
+        return type(self)(parts) if isinstance(self, _Junction) else type(self)(*parts)
 
 
 @dataclass(frozen=True)
@@ -655,6 +664,7 @@ class SimpleCondition(Condition):
     feature: int
     op: Operator
     value: Value
+    parts = ()
 
     def __post_init__(self):
         if not isinstance(self.value, Value):
@@ -715,6 +725,10 @@ class Not(Condition):
     def __post_init__(self):
         _require_conditions((self.part,))
 
+    @property
+    def parts(self) -> tuple:
+        return (self.part,)
+
     def render(self, schema=None) -> str:
         return f"~{self.part.render(schema)}"
 
@@ -727,6 +741,10 @@ class Xor(Condition):
     def __post_init__(self):
         _require_conditions((self.left, self.right))
 
+    @property
+    def parts(self) -> tuple:
+        return (self.left, self.right)
+
     def render(self, schema=None) -> str:
         return f"({self.left.render(schema)} ^ {self.right.render(schema)})"
 
@@ -736,6 +754,7 @@ class Constant(Condition):
     """Truth constant; appears only through rewrites (deadline stripping)."""
 
     truth: bool
+    parts = ()
 
     def render(self, schema=None) -> str:
         return "true" if self.truth else "false"
@@ -761,15 +780,8 @@ def simple_conditions_of(condition: Condition) -> Iterator[SimpleCondition]:
         c = stack.pop()
         if isinstance(c, SimpleCondition):
             yield c
-        elif isinstance(c, (And, Or)):
+        elif isinstance(c, Condition) and hasattr(c, "parts"):
             stack.extend(c.parts)
-        elif isinstance(c, Not):
-            stack.append(c.part)
-        elif isinstance(c, Xor):
-            stack.append(c.left)
-            stack.append(c.right)
-        elif isinstance(c, Constant):
-            continue
         else:
             raise ModelInvariantError(f"unknown condition node {c!r}")
 

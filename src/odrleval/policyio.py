@@ -514,20 +514,19 @@ def _condition_list(raw, where: str) -> list:
     return raw
 
 
+_JSON_KEYS = {And: "and", Or: "or", Xor: "xor"}
+
+
 def condition_to_json(c: Condition, schema: FeatureSchema):
     if isinstance(c, SimpleCondition):
         decl = schema.declaration(c.feature)
         return {"feature": decl.name, "op": c.op.value,
                 "value": value_to_json(c.value)}
-    if isinstance(c, And):
-        return {"and": [condition_to_json(p, schema) for p in c.parts]}
-    if isinstance(c, Or):
-        return {"or": [condition_to_json(p, schema) for p in c.parts]}
+    key = _JSON_KEYS.get(type(c))
+    if key is not None:
+        return {key: [condition_to_json(p, schema) for p in c.parts]}
     if isinstance(c, Not):
-        return {"not": condition_to_json(c.part, schema)}
-    if isinstance(c, Xor):
-        return {"xor": [condition_to_json(c.left, schema),
-                        condition_to_json(c.right, schema)]}
+        return {"not": condition_to_json(c.parts[0], schema)}
     if isinstance(c, Constant):
         return {"const": c.truth}
     raise AssertionError(f"unknown condition node {c!r}")

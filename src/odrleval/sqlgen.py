@@ -156,6 +156,9 @@ _SCALAR_SQL_OP = {
     Operator.EQ: "=", Operator.NEQ: "<>", Operator.GT: ">",
     Operator.GTEQ: ">=", Operator.LT: "<", Operator.LTEQ: "<=",
 }
+# xor as <> is exact because every compiled condition is two-valued, and
+# each operand is written once, so nesting grows the query linearly
+_JOINERS = {And: " AND ", Or: " OR ", Xor: " <> "}
 
 
 class _Compiler:
@@ -172,16 +175,11 @@ class _Compiler:
     def condition(self, c: Condition, alias: str) -> str:
         if isinstance(c, SimpleCondition):
             return self.simple(c, alias)
-        if isinstance(c, And):
-            return "(" + " AND ".join(self.condition(p, alias) for p in c.parts) + ")"
-        if isinstance(c, Or):
-            return "(" + " OR ".join(self.condition(p, alias) for p in c.parts) + ")"
+        joiner = _JOINERS.get(type(c))
+        if joiner is not None:
+            return "(" + joiner.join(self.condition(p, alias) for p in c.parts) + ")"
         if isinstance(c, Not):
-            return "(NOT " + self.condition(c.part, alias) + ")"
-        if isinstance(c, Xor):
-            # exact because every compiled condition is two-valued, and each
-            # operand is written once, so nesting grows the query linearly
-            return f"({self.condition(c.left, alias)} <> {self.condition(c.right, alias)})"
+            return "(NOT " + self.condition(c.parts[0], alias) + ")"
         if isinstance(c, Constant):
             return _TRUE if c.truth else _FALSE
         raise AssertionError(f"unknown condition node {c!r}")

@@ -189,3 +189,17 @@ def test_class_test_and_world_view_have_one_owner():
                     and path.stem not in owners[node.attr]):
                 offending.append(f"{path.name}:{node.lineno}")
     assert offending == []
+
+
+def test_condition_shape_has_one_owner():
+    # model alone knows which fields hold a node's operands; every other
+    # module reads them as ``parts`` and rebuilds a node with ``with_parts``.
+    src = Path(odrleval.__file__).parent
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("part", "left", "right"):
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []

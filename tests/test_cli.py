@@ -135,6 +135,30 @@ def test_compare_symmetric_mode(capsys):
     assert "requester-to-provider" in verdict["failingDirections"]
 
 
+def test_compare_and_normalize_with_constant_at_float_max(capsys, tmp_path):
+    # No probe lies past max float: each call answers instead of exiting 2.
+    def lite(path, *conditions):
+        path.write_text(json.dumps({
+            "format": "policy/1", "kind": "lite",
+            "permissions": [{"label": "print", "conditions": list(conditions)}],
+            "prohibitions": [], "obligations": []}))
+        return str(path)
+
+    print_ = {"feature": "Action", "op": "eq", "value": "print"}
+    requester = lite(tmp_path / "r.json", print_, {
+        "feature": "Print.Resolution", "op": "lteq", "value": sys.float_info.max})
+    provider = lite(tmp_path / "p.json", print_)
+    schema = str(DEMO / "schema.json")
+    for mode, want in [("symmetric", 1), ("asymmetric", 0)]:
+        code, out, err = run(capsys, "compare", "--requester", requester,
+                             "--provider", provider, "--schema", schema, "--mode", mode)
+        assert (code, err) == (want, ""), err
+        assert json.loads(out)["failingDirections"] == (
+            ["provider-to-requester"] if want else [])
+    code, out, err = run(capsys, "normalize", "--policy", requester, "--schema", schema)
+    assert (code, err) == (0, ""), err
+
+
 def test_normalize_prints_consistent_policy(capsys, tmp_path):
     policy = {
         "format": "policy/1",

@@ -530,6 +530,26 @@ def test_satisfiable_between_large_numbers(schema):
     assert rule_satisfiable(bob_read_book(num(PAGES, Operator.GT, 1e20)), schema) is True
 
 
+@pytest.mark.parametrize("top", [sys.float_info.max, int(sys.float_info.max)],
+                         ids=["float", "int"])
+def test_constant_at_float_max_bounds_the_domain(schema, top):
+    # No number lies past ±max float, so the region beyond a constant there
+    # gets no probe; a probe such as ceil(max) + 1 is no Value and would
+    # break every witness-domain call.
+    for op, c, holds in [(Operator.GT, top, False), (Operator.LT, -top, False),
+                         (Operator.GTEQ, top, True), (Operator.LTEQ, -top, True),
+                         (Operator.EQ, top, True), (Operator.EQ, -top, True),
+                         (Operator.LTEQ, top, True), (Operator.GTEQ, -top, True)]:
+        assert rule_satisfiable(bob_read_book(num(PAGES, op, c)), schema) is holds, (op, c)
+    requester = LitePolicy.of({alice_print_picture(num(RESOLUTION, Operator.LTEQ, top))})
+    provider = LitePolicy.of({EventRule.of(eq(ACTION, "Print"))})
+    verdict = symmetric_conflict(requester, provider, schema)
+    assert verdict.conflict and verdict.failing_directions == ("provider-to-requester",)
+    assert asymmetric_conflict(requester, provider, schema).conflict is False
+    assert brute_force_containment(requester, provider, schema) is True
+    assert normalize(requester, schema) == requester
+
+
 def test_consistency_sees_overlap_between_large_integers(schema):
     from odrleval import Clause, World, evaluate_lite
     permission = bob_read_book(num(PAGES, Operator.GT, BIG), label="p")

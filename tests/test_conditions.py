@@ -160,6 +160,19 @@ def test_negate_collapses_negation_and_constants():
     assert negate(c) == Not(c)
 
 
+def test_simplify_drops_a_neutral_constant_in_any_position():
+    a, b = num(RESOLUTION, Operator.GT, 300), num(PAGES, Operator.LTEQ, 250)
+    for junction, neutral in ((And, Constant(True)), (Or, Constant(False))):
+        for parts in ((neutral, a, b), (a, neutral, b), (a, b, neutral)):
+            assert simplify(junction(parts)) == junction((a, b)), parts
+
+
+def test_simplify_returns_an_unchanged_tree_itself():
+    a, b = num(RESOLUTION, Operator.GT, 300), num(PAGES, Operator.LTEQ, 250)
+    for c in (And((a, b)), Or((a, Not(b))), Not(And((a, b))), Xor(a, Or((a, b)))):
+        assert simplify(c) is c
+
+
 def _has_constant(c) -> bool:
     if isinstance(c, Constant):
         return True

@@ -421,14 +421,14 @@ def test_lookup_masks_equal_value_test_masks(values, conditions):
         table = MatchTable(source, schema)
         for c in conditions:
             expected = sum(1 << j for j, e in enumerate(sequence)
-                           if eval_value(c, e.value(ACTOR), schema))
+                           if eval_value(c, e.value(ACTOR)))
             assert table.condition(c) == expected, c
 
 
 def test_order_condition_makes_no_value_tests(schema, monkeypatch):
     calls = []
     monkeypatch.setattr("odrleval.matching.eval_value",
-                        lambda *args: calls.append(args) or eval_value(*args))
+                        lambda c, v: calls.append((c, v)) or eval_value(c, v))
     events = tuple(make_event(t, "Read", "Bob", "Book") for t in range(2000))
     table = MatchTable(EventColumns(events), schema)
     assert bit_positions(table.condition(ts(Operator.GTEQ, 1500))) == list(range(1500, 2000))
