@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 from .conditions import class_condition, negate
@@ -58,6 +57,7 @@ from .model import (
     FeatureSchema,
     FullPolicy,
     LitePolicy,
+    MAX_NUMBER,
     MEMBERSHIP_OPERATORS,
     NON_NULL_FEATURES,
     NULL,
@@ -255,7 +255,7 @@ def _ordered_probe_raws(datatype: Datatype, constants: list) -> list:
                     for a, b in zip(constants, constants[1:])]
         for a, b, xs in regions:
             raws.extend(itertools.islice(
-                (x for x in xs if a < x < b and abs(x) <= sys.float_info.max), 1))
+                (x for x in xs if a < x < b and abs(x) <= MAX_NUMBER), 1))
     else:  # STRING: codepoint order; the successor of s is s + chr(0)
         if constants[0] > "":
             raws.append("")
@@ -546,9 +546,11 @@ def asymmetric_conflict(requester: LitePolicy, provider: LitePolicy,
         requester, provider, schema, auto_normalize, max_events))
 
 
-def _contained(table: MatchTable, requester: LitePolicy,
-               provider: LitePolicy) -> ConflictVerdict:
-    """The asymmetric verdict for two consistent policies on one table."""
+def _contained(table: MatchTable, requester: LitePolicy, provider: LitePolicy,
+               roles=("requester", "provider")) -> ConflictVerdict:
+    """The asymmetric verdict for two consistent policies on one table.
+    ``roles`` names the two sides in the detail, in the caller's words."""
+    inner, outer = roles
     events, schema = table.events, table.schema
     obligation_hits = [table.rule(tau) for tau in requester.obligations]
 
@@ -557,7 +559,7 @@ def _contained(table: MatchTable, requester: LitePolicy,
     if not all(obligation_hits):
         return ConflictVerdict(
             False, "asymmetric",
-            detail="requester policy is unsatisfiable; containment holds vacuously")
+            detail=f"{inner} policy is unsatisfiable; containment holds vacuously")
 
     # A witness takes, from each match set that shows the failure, its first
     # probe event in domain order: the lowest set bit.
@@ -568,7 +570,7 @@ def _contained(table: MatchTable, requester: LitePolicy,
         return ConflictVerdict(
             True, "asymmetric", cause=CAUSE_PERMISSIONS,
             witness=World(frozenset(witness_events)),
-            detail="a requester-permitted event matches no provider permission")
+            detail=f"a {inner}-permitted event matches no {outer} permission")
 
     # Condition 2: every provider obligation is agreed to by containment.
     for tau_prime in ordered_rules(provider.obligations):
@@ -579,8 +581,8 @@ def _contained(table: MatchTable, requester: LitePolicy,
             True, "asymmetric", cause=CAUSE_OBLIGATIONS,
             witness=World(frozenset(
                 events[lowest_bit(m & outside)] for m in obligation_hits)),
-            detail=f"provider obligation {tau_prime.display_label(schema)} "
-                   f"contains no requester obligation")
+            detail=f"{outer} obligation {tau_prime.display_label(schema)} "
+                   f"contains no {inner} obligation")
 
     return ConflictVerdict(False, "asymmetric")
 
@@ -591,7 +593,8 @@ def symmetric_conflict(p: LitePolicy, p_prime: LitePolicy, schema: FeatureSchema
     """Conflict on any semantic difference: containment must hold both ways."""
     require_lite(p=p, p_prime=p_prime)
     table, p, p_prime = _compared(p, p_prime, schema, auto_normalize, max_events)
-    forward, backward = _contained(table, p, p_prime), _contained(table, p_prime, p)
+    forward = _contained(table, p, p_prime)
+    backward = _contained(table, p_prime, p, roles=("provider", "requester"))
     directions = []
     if forward.conflict:
         directions.append("requester-to-provider")

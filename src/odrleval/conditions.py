@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 
+from .errors import quoted
 from .model import (
     And,
     Condition,
@@ -126,7 +127,7 @@ def eval_complex(c: Condition, e: Event, s: FeatureSchema) -> bool:
         return eval_complex(c.parts[0], e, s) != eval_complex(c.parts[1], e, s)
     if isinstance(c, Constant):
         return c.truth
-    raise AssertionError(f"unknown condition node {c!r}")
+    raise AssertionError(f"unknown condition node {quoted(c)}")
 
 
 def desugar_xor(c: Condition) -> Condition:

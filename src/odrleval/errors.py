@@ -3,9 +3,29 @@
 Every failure the engine can surface is an ``EngineError`` subclass, so
 callers (and the CLI's exit-code mapping) can distinguish "bad input" from
 genuine bugs with one except clause.
+
+``quoted`` alone shows an input literal in a message, bounded in length; names
+written bare (feature names, rule labels, a vocabulary cycle) are the exception.
 """
 
 from __future__ import annotations
+
+# The most characters of an input literal an error message quotes.
+QUOTED_CHARS = 500
+
+
+def quoted(raw) -> str:
+    """``repr(raw)`` for an error message; past ``QUOTED_CHARS`` characters,
+    its first ``QUOTED_CHARS`` and its length. A literal ``repr`` refuses,
+    an int past the interpreter's digit limit alone or inside a list or
+    object, is named by its type and size."""
+    try:
+        text = repr(raw)
+    except ValueError:
+        size = f"{raw.bit_length()} bits" if isinstance(raw, int) else f"length {len(raw)}"
+        return f"<{type(raw).__name__} of {size}>"
+    return text if len(text) <= QUOTED_CHARS else (
+        f"{text[:QUOTED_CHARS]}... ({len(text)} characters)")
 
 
 class EngineError(Exception):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .conditions import class_condition, eval_complex, eval_value, simplify
-from .errors import IllFormedRuleError
+from .errors import IllFormedRuleError, quoted
 from .model import (
     ACTION_FEATURE,
     And,
@@ -309,7 +309,7 @@ class MatchTable:
             return reduce(operator.xor, map(self.condition, c.parts))
         if isinstance(c, Constant):
             return self.all if c.truth else 0
-        raise AssertionError(f"unknown condition node {c!r}")
+        raise AssertionError(f"unknown condition node {quoted(c)}")
 
     def rule(self, rule: EventRule) -> int:
         """Events on which every condition of the rule holds."""

@@ -32,6 +32,7 @@ from .errors import (
     SchemaError,
     VocabularyError,
     WorldConformanceError,
+    quoted,
 )
 
 
@@ -61,6 +62,9 @@ class ValueKind(str, Enum):
 # Kinds whose raw payload is a string, and kinds with a total order.
 STRING_KINDS = frozenset({ValueKind.TEXT, ValueKind.IDENTIFIER})
 ORDERED_KINDS = frozenset({ValueKind.TIMESTAMP, ValueKind.NUMBER, ValueKind.TEXT})
+
+# No number, int or float, lies past the largest finite float.
+MAX_NUMBER = sys.float_info.max
 
 # Which value kind an event slot of a given datatype may hold (besides NULL).
 KIND_FOR_DATATYPE = {
@@ -95,13 +99,13 @@ class Value:
             (k is ValueKind.NULL and r is None)
             or (k is ValueKind.TIMESTAMP and isinstance(r, int) and not isinstance(r, bool))
             or (k is ValueKind.NUMBER and isinstance(r, (int, float)) and not isinstance(r, bool)
-                and abs(r) <= sys.float_info.max)
+                and abs(r) <= MAX_NUMBER)
             or (k in STRING_KINDS and isinstance(r, str))
             or (k is ValueKind.IDENTIFIER_SET and isinstance(r, frozenset)
                 and all(isinstance(m, str) for m in r))
         )
         if not ok:
-            raise ModelInvariantError(f"raw payload {r!r} does not fit value kind {k.value}")
+            raise ModelInvariantError(f"raw payload {quoted(r)} does not fit value kind {k.value}")
         # Hashed once, from the payload alone: equal values (1 and 1.0, 0.0
         # and -0.0) share a hash, and null gets a constant, because
         # hash(None) follows its address and would move from run to run.
@@ -256,7 +260,7 @@ class FeatureDecl:
                 f"feature {self.index} ({self.name}): party_role on a non-party feature")
         if self.party_role is not None and self.party_role not in ("assignee", "assigner"):
             raise ModelInvariantError(
-                f"feature {self.index} ({self.name}): unknown party role {self.party_role!r}")
+                f"feature {self.index} ({self.name}): unknown party role {quoted(self.party_role)}")
         if self.classes is not None and self.class_feature is not None:
             raise ModelInvariantError(
                 f"feature {self.index} ({self.name}): both static classes and a class feature")
@@ -338,12 +342,12 @@ def validate_schema(schema: FeatureSchema) -> FeatureSchema:
             raise SchemaError(
                 "duplicate-index", decl.index,
                 f"feature indices must be unique and contiguous; "
-                f"found index {decl.index} at position {pos}")
+                f"found index {quoted(decl.index)} at position {pos}")
         if decl.name in names:
             raise SchemaError(
                 "duplicate-name", pos,
                 f"feature names must be unique; feature {pos} repeats "
-                f"the name {decl.name!r}")
+                f"the name {quoted(decl.name)}")
         names.add(decl.name)
     dt = feats[TIMESTAMP_FEATURE]
     if dt.datatype is not Datatype.TIMESTAMP or dt.component is not ComponentTag.RULE:
@@ -765,7 +769,7 @@ def _require_conditions(parts) -> None:
         raise ModelInvariantError("boolean combinators need at least one operand")
     for p in parts:
         if not isinstance(p, Condition):
-            raise ModelInvariantError(f"{p!r} is not a condition")
+            raise ModelInvariantError(f"{quoted(p)} is not a condition")
 
 
 def features_of(condition: Condition) -> frozenset:
@@ -783,7 +787,7 @@ def simple_conditions_of(condition: Condition) -> Iterator[SimpleCondition]:
         elif isinstance(c, Condition) and hasattr(c, "parts"):
             stack.extend(c.parts)
         else:
-            raise ModelInvariantError(f"unknown condition node {c!r}")
+            raise ModelInvariantError(f"unknown condition node {quoted(c)}")
 
 
 # ---------------------------------------------------------------------------
@@ -802,9 +806,9 @@ class EventRule:
         object.__setattr__(self, "conditions", frozenset(self.conditions))
         for c in self.conditions:
             if not isinstance(c, Condition):
-                raise ModelInvariantError(f"{c!r} is not a condition")
+                raise ModelInvariantError(f"{quoted(c)} is not a condition")
         if self.label is not None and not isinstance(self.label, str):
-            raise ModelInvariantError(f"rule label {self.label!r} is not a string")
+            raise ModelInvariantError(f"rule label {quoted(self.label)} is not a string")
         # hashed once, as Value is; the label takes no part
         object.__setattr__(self, "_hash", hash(self.conditions))
 
@@ -1010,7 +1014,7 @@ class ActionVocabulary:
         except graphlib.CycleError as exc:
             cycle = exc.args[1][::-1]   # graphlib lists it parent first
             raise VocabularyError(
-                f"cyclic-vocabulary: action {cycle[0]!r} is included in itself "
+                f"cyclic-vocabulary: action {quoted(cycle[0])} is included in itself "
                 f"via {' -> '.join(cycle)}") from None
 
     @staticmethod

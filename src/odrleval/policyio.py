@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from datetime import datetime, timezone
 
-from .errors import DocumentError, IllFormedRuleError, ModelInvariantError
+from .errors import DocumentError, IllFormedRuleError, ModelInvariantError, quoted
 from .evaluation import Finding, ViolationReport
 from .comparison import ConflictVerdict
 from .matching import require_well_formed
@@ -39,6 +38,7 @@ from .model import (
     FeatureSchema,
     FullPolicy,
     LitePolicy,
+    MAX_NUMBER,
     MEMBERSHIP_OPERATORS,
     NON_NULL_FEATURES,
     Not,
@@ -71,29 +71,11 @@ _ODRL_IRI_PREFIX = "http://www.w3.org/ns/odrl/2/"
 # SQL emission walk recursively, well inside Python's default recursion limit.
 MAX_NESTING_DEPTH = 100
 
-# The most characters of an input literal an error message quotes.
-QUOTED_CHARS = 500
-
-
-def _quoted(raw) -> str:
-    """``repr(raw)`` for an error message; past ``QUOTED_CHARS`` characters,
-    its first ``QUOTED_CHARS`` and its length. A literal ``repr`` refuses,
-    an int past the interpreter's digit limit alone or inside a list or
-    object, is named by its type and size."""
-    try:
-        text = repr(raw)
-    except ValueError:
-        size = f"{raw.bit_length()} bits" if isinstance(raw, int) else f"length {len(raw)}"
-        return f"<{type(raw).__name__} of {size}>"
-    return text if len(text) <= QUOTED_CHARS else (
-        f"{text[:QUOTED_CHARS]}... ({len(text)} characters)")
-
-
 def _require_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise DocumentError(
-            "unknown-field", f"unknown field(s) {_quoted(unknown)}; this profile rejects "
+            "unknown-field", f"unknown field(s) {quoted(unknown)}; this profile rejects "
             f"fields it does not understand", where)
 
 
@@ -108,7 +90,7 @@ _COMPONENTS = {t.value: t for t in ComponentTag}
 def parse_schema_document(doc: dict) -> FeatureSchema:
     if not isinstance(doc, dict) or doc.get("format") != SCHEMA_FORMAT:
         raise DocumentError(
-            "bad-format", f"schema documents must carry format={SCHEMA_FORMAT!r}")
+            "bad-format", f"schema documents must carry format={quoted(SCHEMA_FORMAT)}")
     _require_keys(doc, ("format", "features"), "schema document")
     raw_features = doc.get("features")
     if not isinstance(raw_features, list):
@@ -138,14 +120,14 @@ def parse_schema_document(doc: dict) -> FeatureSchema:
         if refines is not None:
             if not isinstance(refines, str) or refines not in names:
                 raise DocumentError(
-                    "bad-format", f"refines unknown feature {_quoted(refines)}", where)
+                    "bad-format", f"refines unknown feature {quoted(refines)}", where)
             refines = names[refines]
         class_feature = obj.get("classFeature")
         if class_feature is not None:
             if not isinstance(class_feature, str) or class_feature not in names:
                 raise DocumentError(
                     "bad-format",
-                    f"classFeature names unknown feature {_quoted(class_feature)}", where)
+                    f"classFeature names unknown feature {quoted(class_feature)}", where)
             class_feature = names[class_feature]
         classes = obj.get("classes")
         if classes is not None and not (
@@ -194,7 +176,7 @@ def parse_vocabulary_document(doc: dict) -> ActionVocabulary:
     if not isinstance(doc, dict) or doc.get("format") != VOCABULARY_FORMAT:
         raise DocumentError(
             "bad-format",
-            f"vocabulary documents must carry format={VOCABULARY_FORMAT!r}")
+            f"vocabulary documents must carry format={quoted(VOCABULARY_FORMAT)}")
     _require_keys(doc, ("format", "includedIn"), "vocabulary document")
     edges = doc.get("includedIn", [])
     if not isinstance(edges, list):
@@ -237,13 +219,13 @@ def _timestamp_ticks(raw, where: str) -> int:
             dt = datetime.fromisoformat(text)
         except ValueError as exc:
             raise DocumentError(
-                "unparsable-value", f"{_quoted(text)} is neither integer ticks nor ISO-8601",
+                "unparsable-value", f"{quoted(text)} is neither integer ticks nor ISO-8601",
                 where) from exc
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp())
     raise DocumentError(
-        "unparsable-value", f"cannot read timestamp from {_quoted(raw)}", where)
+        "unparsable-value", f"cannot read timestamp from {quoted(raw)}", where)
 
 
 def parse_value(raw, datatype: Datatype, where: str) -> Value:
@@ -264,8 +246,8 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
                     number = float(raw)
                 except ValueError as exc:
                     raise DocumentError(
-                        "unparsable-value", f"{_quoted(raw)} is not numeric", where) from exc
-        if isinstance(number, (int, float)) and abs(number) <= sys.float_info.max:
+                        "unparsable-value", f"{quoted(raw)} is not numeric", where) from exc
+        if isinstance(number, (int, float)) and abs(number) <= MAX_NUMBER:
             return Value._trusted(ValueKind.NUMBER, number)
     if datatype is Datatype.STRING and isinstance(raw, str):
         return Value._trusted(ValueKind.TEXT, raw)
@@ -278,7 +260,7 @@ def parse_value(raw, datatype: Datatype, where: str) -> Value:
             members = frozenset(m for m in raw.split("|") if m != "")
             return Value._trusted(ValueKind.IDENTIFIER_SET, members)
     raise DocumentError(
-        "unparsable-value", f"{_quoted(raw)} does not fit datatype {datatype.value}", where)
+        "unparsable-value", f"{quoted(raw)} does not fit datatype {datatype.value}", where)
 
 
 def value_to_json(v: Value):
@@ -430,7 +412,7 @@ def _operator(name, where: str) -> Operator:
             raise DocumentError("unsupported-operator", _AND_SEQUENCE, where)
         if bare in _OPERATORS:
             return _OPERATORS[bare]
-    raise DocumentError("unsupported-operator", f"unknown operator {_quoted(name)}", where)
+    raise DocumentError("unsupported-operator", f"unknown operator {quoted(name)}", where)
 
 
 def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
@@ -440,13 +422,13 @@ def _feature(schema: FeatureSchema, name, where: str) -> FeatureDecl:
         except KeyError:
             pass
     raise DocumentError(
-        "unknown-left-operand", f"{_quoted(name)} is not a declared feature", where)
+        "unknown-left-operand", f"{quoted(name)} is not a declared feature", where)
 
 
 def _name(raw, where: str) -> str:
     if isinstance(raw, str):
         return raw
-    raise DocumentError("bad-format", f"expected an identifier, got {_quoted(raw)}", where)
+    raise DocumentError("bad-format", f"expected an identifier, got {quoted(raw)}", where)
 
 
 def _set_operand(raw, op: Operator, member, where: str) -> Value:
@@ -504,7 +486,7 @@ def parse_condition(obj, schema: FeatureSchema, where: str) -> Condition:
         if not isinstance(obj["const"], bool):
             raise DocumentError("bad-format", "const must be a JSON boolean", where)
         return Constant(obj["const"])
-    raise DocumentError("bad-format", f"unrecognized condition object {_quoted(obj)}", where)
+    raise DocumentError("bad-format", f"unrecognized condition object {quoted(obj)}", where)
 
 
 def _condition_list(raw, where: str) -> list:
@@ -529,7 +511,7 @@ def condition_to_json(c: Condition, schema: FeatureSchema):
         return {"not": condition_to_json(c.parts[0], schema)}
     if isinstance(c, Constant):
         return {"const": c.truth}
-    raise AssertionError(f"unknown condition node {c!r}")
+    raise AssertionError(f"unknown condition node {quoted(c)}")
 
 
 def _parse_canonical_rule(obj, schema, where: str) -> EventRule:
@@ -561,7 +543,7 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
     _require_keys(doc, allowed, "policy document")
     kind = doc.get("kind", "lite")
     if kind not in ("lite", "full"):
-        raise DocumentError("bad-format", f"must be 'lite' or 'full', not {_quoted(kind)}",
+        raise DocumentError("bad-format", f"must be 'lite' or 'full', not {quoted(kind)}",
                             "kind")
 
     def rules(key: str) -> list:
@@ -597,7 +579,7 @@ def _parse_canonical(doc: dict, schema: FeatureSchema) -> Policy:
         hits = by_label.get(raw, [])
         if len(hits) != 1:
             raise DocumentError(
-                "dangling-duty", f"{_quoted(raw)} must name exactly one permission", where)
+                "dangling-duty", f"{quoted(raw)} must name exactly one permission", where)
         return hits[0]
 
     pairs = {}
@@ -735,7 +717,7 @@ def _odrl_constraint(obj, schema, gamma, where: str) -> Condition:
     decl = _feature(schema, _odrl_id(obj.get("leftOperand"), where), where)
     if decl.gamma != gamma:
         raise DocumentError(
-            "unknown-left-operand", f"left operand {_quoted(decl.name)} does not belong "
+            "unknown-left-operand", f"left operand {quoted(decl.name)} does not belong "
             f"to this placement (component mismatch)", where)
     op = _operator(obj.get("operator"), where)
     value = _odrl_right_operand(obj.get("rightOperand"), decl, op, where)
@@ -814,12 +796,12 @@ def _parse_odrl(doc: dict, schema: FeatureSchema) -> Policy:
     if ODRL_CONTEXT not in contexts:
         raise DocumentError(
             "bad-format",
-            f"ODRL documents must use the standard context {ODRL_CONTEXT!r} "
+            f"ODRL documents must use the standard context {quoted(ODRL_CONTEXT)} "
             f"(no remote context fetching is performed)")
     _require_keys(doc, _ODRL_POLICY_KEYS, "policy")
     ptype = doc.get("@type", "Set")
     if ptype not in _ODRL_TYPES:
-        raise DocumentError("bad-format", f"unsupported policy type {_quoted(ptype)}", "@type")
+        raise DocumentError("bad-format", f"unsupported policy type {quoted(ptype)}", "@type")
     policy_parties = {k: doc[k] for k in ("assignee", "assigner") if k in doc}
 
     lite = {"permissions": [], "prohibitions": [], "obligations": []}
@@ -912,7 +894,7 @@ def parse_policy_document(doc: dict, schema: FeatureSchema, *,
     else:
         raise DocumentError(
             "bad-format",
-            f"policy documents carry either format={POLICY_FORMAT!r} or an "
+            f"policy documents carry either format={quoted(POLICY_FORMAT)} or an "
             f"ODRL @context")
     if enforce_well_formed:
         try:

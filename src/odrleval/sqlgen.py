@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .conditions import class_condition
-from .errors import QueryEmitError
+from .errors import QueryEmitError, quoted
 from .evaluation import Clause
 from .matching import require_well_formed, strip_deadline_conditions
 from .model import (
@@ -97,7 +97,7 @@ def _columns(schema: FeatureSchema) -> dict:
         col = sanitize_name(decl.name)
         if col in seen or col == "event_id":
             raise QueryEmitError(
-                f"feature {decl.name!r} sanitizes to column {col!r}, which "
+                f"feature {quoted(decl.name)} sanitizes to column {quoted(col)}, which "
                 f"collides with another column")
         seen.add(col)
         cols[decl.index] = col
@@ -129,12 +129,12 @@ def create_table_sql(schema: FeatureSchema) -> str:
 
 def _quote(s: str) -> str:
     if "\x00" in s:
-        raise QueryEmitError(f"string {s!r} holds U+0000, which SQL text cannot carry")
+        raise QueryEmitError(f"string {quoted(s)} holds U+0000, which SQL text cannot carry")
     try:
         s.encode("utf-8")
     except UnicodeEncodeError:
         raise QueryEmitError(
-            f"string {s!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+            f"string {quoted(s)} holds a lone surrogate, which UTF-8 cannot encode") from None
     return "'" + s.replace("'", "''") + "'"
 
 
@@ -142,7 +142,7 @@ def _literal(v: Value) -> str:
     if v.kind in (ValueKind.TIMESTAMP, ValueKind.NUMBER):
         # sqlite stores larger integers as lossy reals, so comparisons drift
         if isinstance(v.raw, int) and not -2**63 <= v.raw < 2**63:
-            raise QueryEmitError(f"integer {v.raw} lies outside the 64-bit range")
+            raise QueryEmitError(f"integer {quoted(v.raw)} lies outside the 64-bit range")
         return repr(v.raw)
     if v.kind in STRING_KINDS:
         return _quote(v.raw)
@@ -182,7 +182,7 @@ class _Compiler:
             return "(NOT " + self.condition(c.parts[0], alias) + ")"
         if isinstance(c, Constant):
             return _TRUE if c.truth else _FALSE
-        raise AssertionError(f"unknown condition node {c!r}")
+        raise AssertionError(f"unknown condition node {quoted(c)}")
 
     def simple(self, c: SimpleCondition, alias: str) -> str:
         kind = self.schema.value_kinds[c.feature]

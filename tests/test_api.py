@@ -203,3 +203,30 @@ def test_condition_shape_has_one_owner():
             if isinstance(node, ast.Attribute) and node.attr in ("part", "left", "right"):
                 offending.append(f"{path.name}:{node.lineno}")
     assert offending == []
+
+
+def test_input_literals_are_quoted_by_one_owner():
+    # errors.quoted alone shows an input literal in a message, so no other
+    # module writes a !r conversion.
+    src = Path(odrleval.__file__).parent
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []
+
+
+def test_numeric_bound_has_one_owner():
+    # model alone names the largest number, as MAX_NUMBER.
+    src = Path(odrleval.__file__).parent
+    offending = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "float_info":
+                offending.append(f"{path.name}:{node.lineno}")
+    assert offending == []

@@ -644,7 +644,7 @@ def test_json_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
 
 
 def test_error_quotes_a_long_right_operand_by_its_head_and_length(capsys, tmp_path):
-    from odrleval.policyio import QUOTED_CHARS
+    from odrleval.errors import QUOTED_CHARS
     text = (DEMO / "policy.json").read_text()
     pfile = tmp_path / "policy.json"
     operand = json.dumps("9" * 5000)
@@ -657,6 +657,61 @@ def test_error_quotes_a_long_right_operand_by_its_head_and_length(capsys, tmp_pa
     assert error["message"].endswith(
         f"'{'9' * (QUOTED_CHARS - 1)}... (5002 characters) does not fit datatype numeric")
     assert len(error["message"]) < QUOTED_CHARS + 200
+
+
+_LONG = "x" * 100_000
+
+
+def _long_duplicate_name(docs):
+    docs["schema"]["features"] += [
+        {"index": 6, "name": _LONG, "datatype": "numeric", "component": "rule"},
+        {"index": 7, "name": _LONG, "datatype": "string", "component": "rule"}]
+    return "SchemaError", [_LONG]
+
+
+def _long_party_role(docs):
+    docs["schema"]["features"][2]["partyRole"] = _LONG
+    return "ModelInvariantError", [_LONG]
+
+
+def _long_names_on_one_column(docs):
+    docs["schema"]["features"] += [
+        {"index": 6, "name": _LONG + ".", "datatype": "numeric", "component": "rule"},
+        {"index": 7, "name": _LONG + "-", "datatype": "string", "component": "rule"}]
+    return "QueryEmitError", [_LONG + "-", _LONG]
+
+
+def _long_string_with(char):
+    def spoil(docs):
+        docs["policy"]["permissions"][0]["conditions"][1]["value"] = char + _LONG
+        return "QueryEmitError", [char + _LONG]
+    return spoil
+
+
+@pytest.mark.parametrize("spoil", [
+    _long_duplicate_name, _long_party_role, _long_names_on_one_column,
+    _long_string_with("\u0000"), _long_string_with("\ud800"),
+], ids=["duplicate-name", "party-role", "one-column", "nul", "lone-surrogate"])
+def test_engine_errors_cut_each_long_literal(capsys, tmp_path, spoil):
+    # Every literal an engine error quotes is cut at QUOTED_CHARS, so the
+    # error object stays short however long the input.
+    from odrleval.errors import QUOTED_CHARS
+    docs = {name: json.loads((DEMO / source).read_text()) for name, source in
+            (("schema", "schema.json"), ("policy", "requester.json"))}
+    error, literals = spoil(docs)
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    code, out, err = run(capsys, "emit-query", "--policy", str(paths["policy"]),
+                         "--schema", str(paths["schema"]),
+                         "--out-dir", str(tmp_path / "queries"))
+    assert (code, out) == (2, "")
+    obj = json.loads(err)
+    assert obj["error"] == error
+    for literal in literals:
+        text = repr(literal)
+        assert f"{text[:QUOTED_CHARS]}... ({len(text)} characters)" in obj["message"]
+    assert len(obj["message"]) < len(literals) * QUOTED_CHARS + 300
 
 
 def test_canonical_or_xor_const_through_the_cli(capsys, tmp_path):

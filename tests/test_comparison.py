@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -383,6 +384,23 @@ def test_symmetric_conflict_from_provider_obligation(schema):
     verdict = symmetric_conflict(requester, provider, schema)
     assert verdict.conflict
     assert "requester-to-provider" in verdict.failing_directions
+
+
+def test_symmetric_detail_names_the_sides_of_a_backward_failure(schema):
+    # Only the provider-to-requester direction fails in each case, and its
+    # detail names each policy by its own role.
+    narrow = alice_print_picture(num(RESOLUTION, Operator.LTEQ, 400), label="narrow")
+    verdict = symmetric_conflict(LitePolicy.of({narrow}),
+                                 LitePolicy.of({alice_print_picture(label="wide")}), schema)
+    assert verdict.failing_directions == ("provider-to-requester",)
+    assert verdict.cause == CAUSE_PERMISSIONS
+    assert verdict.detail == "a provider-permitted event matches no requester permission"
+    shared = {alice_print_picture(label="p"), bob_read_book(label="p2")}
+    verdict = symmetric_conflict(LitePolicy.of(shared, (), {bob_read_book(label="o")}),
+                                 LitePolicy.of(shared), schema)
+    assert verdict.failing_directions == ("provider-to-requester",)
+    assert verdict.cause == CAUSE_OBLIGATIONS
+    assert verdict.detail == "requester obligation o contains no provider obligation"
 
 
 def test_brute_force_self_containment(schema, example_policy):
@@ -866,8 +884,13 @@ def test_symmetric_verdict_combines_both_directions(schema):
             assert verdict.failing_directions == directions
             if directions:
                 first = forward if forward.conflict else backward
+                # the backward detail names q as the provider, p the requester
+                detail = first.detail if forward.conflict else re.sub(
+                    "requester|provider",
+                    lambda m: {"requester": "provider", "provider": "requester"}[m[0]],
+                    first.detail)
                 assert (verdict.cause, verdict.witness, verdict.detail) == (
-                    first.cause, first.witness, first.detail)
+                    first.cause, first.witness, detail)
 
 
 def test_domain_cap_precedes_inconsistency(schema):

@@ -17,17 +17,21 @@ from odrleval import (
     LitePolicy,
     ModelInvariantError,
     NULL,
+    Not,
     Operator,
     Or,
     PolicyInvariantError,
+    QueryEmitError,
     RULE_WIDE,
     SchemaError,
     SimpleCondition,
     Value,
+    ValueKind,
     VocabularyError,
     World,
     feature_component,
     validate_schema,
+    world_insert_sql,
 )
 from conftest import ACTOR, ASSET, PAGES, make_event, make_schema, eq, ts, under_hash_seeds
 
@@ -538,3 +542,32 @@ def test_expander_matches_the_string_join():
         assert expander([code])(flags) == 0
         flags[code] = 1
         assert expander([code])(flags) == 1
+
+
+_BIG = 10 ** 5000   # past CPython's 4,300-digit limit for int to text
+
+
+def _big_index_schema():
+    return FeatureSchema((
+        FeatureDecl(0, "Datetime", Datatype.TIMESTAMP, ComponentTag.RULE),
+        FeatureDecl(_BIG, "Action", Datatype.IDENTIFIER, ComponentTag.ACTION)))
+
+
+def _big_timestamp_insert():
+    world_insert_sql(World.of([make_event(_BIG, "Print", "Alice", "Picture")]), make_schema())
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Value(ValueKind.NUMBER, _BIG), ModelInvariantError),
+    (lambda: Not(_BIG), ModelInvariantError),
+    (lambda: EventRule(frozenset({_BIG})), ModelInvariantError),
+    (lambda: EventRule(frozenset(), label=_BIG), ModelInvariantError),
+    (_big_index_schema, SchemaError),
+    (_big_timestamp_insert, QueryEmitError),
+], ids=["value", "not", "rule-condition", "rule-label", "schema-index", "insert-timestamp"])
+def test_an_int_past_the_digit_limit_is_named_by_its_size(build, error):
+    # repr of such an int raises a bare ValueError; the message names it
+    # by its type and size instead.
+    with pytest.raises(error) as err:
+        build()
+    assert "<int of 16610 bits>" in str(err.value)

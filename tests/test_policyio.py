@@ -166,7 +166,7 @@ def test_world_non_finite_number_rejected(schema, cell):
     ("Datetime", "x" * 100_000, "is neither integer ticks nor ISO-8601"),
     ("Print.Resolution", "9" * 5000, "does not fit datatype numeric")])
 def test_world_error_quotes_a_long_cell_by_its_head_and_length(schema, column, cell, reason):
-    from odrleval.policyio import QUOTED_CHARS
+    from odrleval.errors import QUOTED_CHARS
     row = {"Datetime": f"{cell},Print,Alice,Picture,null,null",
            "Print.Resolution": f"1,Print,Alice,Picture,{cell},null"}[column]
     with pytest.raises(DocumentError) as err:
